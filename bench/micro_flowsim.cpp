@@ -60,6 +60,11 @@ void* counted_aligned_alloc(std::size_t n, std::size_t align) {
   const std::size_t rounded = (n + align - 1) / align * align;
   return std::aligned_alloc(align, rounded ? rounded : align);
 }
+// Out of line on purpose: once GCC inlines a replaced operator delete that
+// calls std::free directly, it pairs the free with the `new` expression it
+// sees at the call site and reports -Wmismatched-new-delete, although every
+// replaced operator new above allocates with malloc/aligned_alloc.
+[[gnu::noinline]] void free_block(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t n) {
@@ -84,19 +89,19 @@ void* operator new[](std::size_t n, std::align_val_t a) {
   if (void* p = counted_aligned_alloc(n, static_cast<std::size_t>(a))) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { free_block(p); }
+void operator delete[](void* p) noexcept { free_block(p); }
+void operator delete(void* p, std::size_t) noexcept { free_block(p); }
+void operator delete[](void* p, std::size_t) noexcept { free_block(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { free_block(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { free_block(p); }
+void operator delete(void* p, std::align_val_t) noexcept { free_block(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { free_block(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  free_block(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  free_block(p);
 }
 
 using namespace xscale;

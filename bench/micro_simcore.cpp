@@ -24,8 +24,10 @@ BENCHMARK(BM_EngineScheduleRun)->Arg(1000)->Arg(100000);
 void BM_MaxMinSolver(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));
   sim::Rng rng(1);
-  const int links = 4096;
-  std::vector<double> cap(links, 25e9);
+  // At most five links per flow: small rows are compact problems, like the
+  // per-component packs FlowSim solves.
+  const int links = std::min(4096, 5 * flows);
+  std::vector<double> cap(static_cast<std::size_t>(links), 25e9);
   std::vector<std::vector<int>> paths(static_cast<std::size_t>(flows));
   for (auto& p : paths)
     for (int h = 0; h < 5; ++h) p.push_back(static_cast<int>(rng.index(links)));
@@ -33,13 +35,20 @@ void BM_MaxMinSolver(benchmark::State& state) {
     std::sort(p.begin(), p.end());
     p.erase(std::unique(p.begin(), p.end()), p.end());
   }
+  net::SolveStats stats;
   for (auto _ : state) {
-    auto rates = net::max_min_rates(cap, paths);
+    auto rates = net::max_min_rates(cap, paths, nullptr, &stats);
     benchmark::DoNotOptimize(rates.data());
   }
   state.SetItemsProcessed(state.iterations() * flows);
+  // Deterministic work count of one solve (heap re-keys + candidate
+  // re-tests), gateable on a noisy host where the wall clock is not.
+  state.counters["link_updates/solve"] = static_cast<double>(stats.link_updates);
 }
-BENCHMARK(BM_MaxMinSolver)->Arg(1000)->Arg(10000)->Arg(40000);
+// Rows 4 and 16 (~12 and ~55 crossed links, 1 and 3 iterations) fit in
+// kCsrScanBudget, so the CSR core scans them; the rows from 1,000 flows up
+// cross more links than the budget and run its heap loop.
+BENCHMARK(BM_MaxMinSolver)->Arg(4)->Arg(16)->Arg(1000)->Arg(10000)->Arg(40000);
 
 void BM_FrontierTopologyBuild(benchmark::State& state) {
   for (auto _ : state) {
@@ -63,6 +72,41 @@ void BM_FullSystemShiftSolve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<long>(pairs.size()));
 }
 BENCHMARK(BM_FullSystemShiftSolve)->Unit(benchmark::kMillisecond);
+
+// The paper-table hot path: SimComm::sustained_per_rank_bw prices an
+// application row by solving a random rank permutation over its whole
+// allocation. Here the allocation is every compute node of Frontier at 8
+// ranks per node (one per GCD, 2 per NIC): state.range(0) ranks.
+void BM_SteadyRates(benchmark::State& state) {
+  const auto m = machines::frontier();
+  auto fabric = m.build_fabric();
+  const int ppn = 8;
+  const int ranks = static_cast<int>(state.range(0));
+  const int nics = m.node.nics;
+  auto endpoint = [&](int rank) {
+    return machines::node_endpoint(m, rank / ppn, (rank % ppn) % nics);
+  };
+  sim::Rng rng(0x5EED);
+  net::PairList pairs;
+  for (const auto& [r, peer] : net::random_permutation(ranks, rng))
+    if (r / ppn != peer / ppn) pairs.emplace_back(endpoint(r), endpoint(peer));
+  // Work count: the same routed problem through the core once.
+  std::vector<std::vector<int>> paths;
+  fabric.steady_rates(pairs, nullptr, &paths);
+  net::SolveStats stats;
+  net::max_min_rates(fabric.effective_capacities(), paths, nullptr, &stats);
+  for (auto _ : state) {
+    auto rates = fabric.steady_rates(pairs);
+    benchmark::DoNotOptimize(rates.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(pairs.size()));
+  state.counters["link_updates/solve"] = static_cast<double>(stats.link_updates);
+  state.counters["iterations/solve"] = static_cast<double>(stats.iterations);
+}
+BENCHMARK(BM_SteadyRates)
+    ->Name("BM_SteadyRates/frontier_perm")
+    ->Arg(9408 * 8)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GemmModel(benchmark::State& state) {
   const auto g = hw::mi250x_gcd();

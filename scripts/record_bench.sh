@@ -92,7 +92,8 @@ for name in ("micro_flowsim", "micro_simcore", "micro_serve"):
                   "threads", "heap", "stale",
                   "warm_memo%", "memo_stale", "epochs_max", "reroutes",
                   "slot_transitions",
-                  "writeback%", "rc_hit%", "topo_build_ms"):
+                  "writeback%", "rc_hit%", "topo_build_ms",
+                  "link_updates/solve", "iterations/solve"):
             if k in b:
                 entry[k] = round(b[k], 6)
         snapshot["benchmarks"][f"{name}/{b['name']}"] = entry

@@ -1,8 +1,9 @@
 #include "mpi/comm.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "net/patterns.hpp"
 
@@ -11,7 +12,21 @@ namespace xscale::mpi {
 SimComm::SimComm(const machines::Machine& machine, const net::Fabric* fabric,
                  std::vector<int> nodes, CommConfig cfg)
     : machine_(&machine), fabric_(fabric), nodes_(std::move(nodes)), cfg_(cfg) {
-  assert(!nodes_.empty());
+  // An allocation the machine cannot hold would route to endpoints that do
+  // not exist; reject it up front rather than index past the fabric.
+  if (nodes_.empty())
+    throw std::invalid_argument("SimComm: empty node allocation");
+  const int n = machine.compute_nodes;
+  if (nodes_.size() > static_cast<std::size_t>(std::max(0, n)))
+    throw std::invalid_argument("SimComm: " + std::to_string(nodes_.size()) +
+                                " nodes exceed " + machine.name + "'s " +
+                                std::to_string(n) + " compute nodes");
+  for (int node : nodes_)
+    if (node < 0 || node >= n)
+      throw std::invalid_argument("SimComm: node id " + std::to_string(node) +
+                                  " outside " + machine.name +
+                                  "'s compute nodes [0, " + std::to_string(n) +
+                                  ")");
 }
 
 int SimComm::endpoint_of_rank(int rank) const {

@@ -36,7 +36,9 @@ struct CommConfig {
 class SimComm {
  public:
   // `nodes` lists the machine node ids of the allocation (from the
-  // scheduler). The fabric pointer may be null for analytic machines.
+  // scheduler). The fabric pointer may be null for analytic machines. An
+  // empty allocation, more nodes than `machine.compute_nodes`, or a node id
+  // outside [0, compute_nodes) throws std::invalid_argument.
   SimComm(const machines::Machine& machine, const net::Fabric* fabric,
           std::vector<int> nodes, CommConfig cfg = {});
 

@@ -55,6 +55,8 @@ struct GpcnetResult {
   std::vector<double> impact;
 };
 
+// Runs the suite on nodes [0, cfg.nodes) of `machine`. cfg.nodes outside
+// [1, machine.compute_nodes] throws std::invalid_argument.
 GpcnetResult run_gpcnet(const machines::Machine& machine, const net::Fabric& fabric,
                         const GpcnetConfig& cfg = {});
 

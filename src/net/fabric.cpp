@@ -151,59 +151,118 @@ std::vector<int> Fabric::route(int src_ep, int dst_ep, sim::Rng& rng,
   return out;
 }
 
+namespace {
+
+// Per-thread working set of `steady_rates`: the routed problem goes
+// straight into a reused CSR arena, and the adaptive-routing load table is
+// reset entry by entry afterwards, so a warm call allocates only its result.
+struct SteadyScratch {
+  PathsCsr csr;
+  SolveScratch solve;
+  std::vector<int> path;
+  std::vector<int> load;        // [num_links], all zero between calls
+  std::vector<double> capped;   // capacities + one virtual link per cap
+};
+
+}  // namespace
+
 std::vector<double> Fabric::steady_rates(const std::vector<std::pair<int, int>>& pairs,
                                          const std::vector<double>* weights,
                                          std::vector<std::vector<int>>* paths_out,
                                          const std::vector<double>* rate_caps) const {
-  sim::Rng rng(config().seed);
-  const auto& topo = topology();
-  std::vector<std::vector<int>> paths;
-  paths.reserve(pairs.size());
-  std::vector<int> load(topo.links().size(), 0);
-  for (const auto& [s, d] : pairs) {
-    auto p = route(s, d, rng, &load);
-    for (int l : p) ++load[static_cast<std::size_t>(l)];
-    paths.push_back(std::move(p));
-  }
+  if (weights && weights->size() != pairs.size())
+    throw std::invalid_argument("steady_rates: weights/pairs size mismatch");
+  if (rate_caps && rate_caps->size() != pairs.size())
+    throw std::invalid_argument("steady_rates: rate_caps/pairs size mismatch");
+  static thread_local SteadyScratch st;
+  const std::size_t nl = snap_->num_links();
   const std::vector<double>& eff_cap = overlay_.effective_capacities();
-  std::vector<double> rates;
-  if (rate_caps != nullptr) {
-    // Realize caps as private virtual links appended to the capped flow.
-    std::vector<double> cap = eff_cap;
-    auto capped_paths = paths;
-    for (std::size_t f = 0; f < capped_paths.size(); ++f) {
-      const double c = (*rate_caps)[f];
-      if (c <= 0) continue;
-      capped_paths[f].push_back(static_cast<int>(cap.size()));
-      cap.push_back(c);  // bounds the flow's total rate
+  if (st.load.size() < nl) st.load.resize(nl, 0);
+  st.csr.clear();
+  sim::Rng rng(config().seed);
+  // Route every pair (adaptive decisions see earlier flows' load) and
+  // append each flow's cap as a private virtual link in the same pass;
+  // capped flows still take part in max-min fairness through it.
+  // A cap that is not <= 0 (NaN included) gets its link; the solver
+  // rejects a non-finite one.
+  std::size_t virtual_links = 0;
+  auto clear_load = [&] {
+    for (int l : st.csr.link_ids)
+      if (static_cast<std::size_t>(l) < nl) st.load[static_cast<std::size_t>(l)] = 0;
+  };
+  try {
+    for (std::size_t f = 0; f < pairs.size(); ++f) {
+      route_into(pairs[f].first, pairs[f].second, rng, &st.load, st.path);
+      for (int l : st.path) {
+        ++st.load[static_cast<std::size_t>(l)];
+        st.csr.push_link(l);
+      }
+      if (rate_caps && !((*rate_caps)[f] <= 0))
+        st.csr.push_link(static_cast<int>(nl + virtual_links++));
+      st.csr.end_path();
     }
-    rates = max_min_rates_components(cap, capped_paths, weights);
-  } else {
-    rates = max_min_rates_components(eff_cap, paths, weights);
+  } catch (...) {
+    clear_load();  // the load table must be all zero for the next call
+    throw;
   }
-  if (!config().congestion_control) apply_hol_blocking(paths, rates);
-  if (paths_out) *paths_out = std::move(paths);
+  clear_load();
+
+  const double* cap = eff_cap.data();
+  if (virtual_links > 0) {
+    st.capped.assign(eff_cap.begin(), eff_cap.end());
+    for (double c : *rate_caps)
+      if (!(c <= 0)) st.capped.push_back(c);  // bounds the flow's total rate
+    cap = st.capped.data();
+  }
+  // One global solve: its rates equal the per-component decomposition's bit
+  // for bit (DESIGN.md §9), without the decomposition's O(links) passes.
+  std::vector<double> rates(pairs.size(), 0.0);
+  max_min_rates_csr(cap, nl + virtual_links, st.csr,
+                    weights ? weights->data() : nullptr, rates.data(), nullptr,
+                    st.solve);
+  if (!config().congestion_control) apply_hol_blocking(st.csr, rates);
+  if (paths_out) {
+    paths_out->assign(pairs.size(), {});
+    for (std::size_t f = 0; f < pairs.size(); ++f)
+      for (int i = st.csr.offsets[f]; i < st.csr.offsets[f + 1]; ++i) {
+        const int l = st.csr.link_ids[static_cast<std::size_t>(i)];
+        if (static_cast<std::size_t>(l) < nl) (*paths_out)[f].push_back(l);
+      }
+  }
   return rates;
 }
 
-void Fabric::apply_hol_blocking(const std::vector<std::vector<int>>& paths,
+void Fabric::apply_hol_blocking(const PathsCsr& paths,
                                 std::vector<double>& rates) const {
   // Without hardware congestion control, a saturated (typically ejection)
   // link backs frames up into the switch, and every flow crossing that
   // switch slows to the oversubscribed link's drain ratio. We compute, per
   // switch, the worst oversubscription of any link it sources, then scale
-  // each flow by the worst factor along its path.
+  // each flow by the worst factor along its path. Virtual rate-cap links
+  // (ids past the topology's) are not fabric links and are skipped.
   // Unthrottled desire per flow: its share of the injection link it enters
   // through (ranks sharing a NIC cannot each offer the full NIC rate).
   const auto& topo = topology();
+  const std::size_t nl = topo.links().size();
   const std::vector<double>& eff_cap = overlay_.effective_capacities();
-  std::vector<int> inj_count(topo.links().size(), 0);
-  for (const auto& p : paths) ++inj_count[static_cast<std::size_t>(p.front())];
-  std::vector<double> demand(topo.links().size(), 0.0);
-  for (std::size_t f = 0; f < paths.size(); ++f) {
-    const auto inj = static_cast<std::size_t>(paths[f].front());
+  const std::size_t nf = paths.num_flows();
+  auto hops = [&](std::size_t f, auto&& fn) {
+    for (int i = paths.offsets[f]; i < paths.offsets[f + 1]; ++i) {
+      const int l = paths.link_ids[static_cast<std::size_t>(i)];
+      if (static_cast<std::size_t>(l) < nl) fn(l);
+    }
+  };
+  auto injection = [&](std::size_t f) {
+    return static_cast<std::size_t>(
+        paths.link_ids[static_cast<std::size_t>(paths.offsets[f])]);
+  };
+  std::vector<int> inj_count(nl, 0);
+  for (std::size_t f = 0; f < nf; ++f) ++inj_count[injection(f)];
+  std::vector<double> demand(nl, 0.0);
+  for (std::size_t f = 0; f < nf; ++f) {
+    const auto inj = injection(f);
     const double desire = eff_cap[inj] / std::max(1, inj_count[inj]);
-    for (int l : paths[f]) demand[static_cast<std::size_t>(l)] += desire;
+    hops(f, [&](int l) { demand[static_cast<std::size_t>(l)] += desire; });
   }
   std::vector<double> switch_factor(static_cast<std::size_t>(topo.num_switches()), 1.0);
   for (const auto& l : topo.links()) {
@@ -215,13 +274,13 @@ void Fabric::apply_hol_blocking(const std::vector<std::vector<int>>& paths,
       sf = std::min(sf, factor);
     }
   }
-  for (std::size_t f = 0; f < paths.size(); ++f) {
+  for (std::size_t f = 0; f < nf; ++f) {
     double factor = 1.0;
-    for (int l : paths[f]) {
+    hops(f, [&](int l) {
       const auto& lk = topo.link(l);
       if (lk.src < topo.num_switches())
         factor = std::min(factor, switch_factor[static_cast<std::size_t>(lk.src)]);
-    }
+    });
     rates[f] *= factor;
   }
 }

@@ -138,7 +138,8 @@ class Fabric {
   const FabricOverlay& overlay() const { return overlay_; }
 
   // Route one flow. Adaptive routing consults `global_load` (flows currently
-  // assigned per link) when provided.
+  // assigned per link) when provided. Endpoint ids outside
+  // [0, num_endpoints) throw std::out_of_range.
   std::vector<int> route(int src_ep, int dst_ep, sim::Rng& rng,
                          const std::vector<int>* global_load = nullptr) const;
 
@@ -156,7 +157,12 @@ class Fabric {
   // `rate_caps` (optional, 0 = uncapped) bound a flow's offered load — e.g.
   // message-rate-limited congestors that cannot saturate their NIC. Caps are
   // realized as per-flow virtual links, so capped flows still take part in
-  // max-min fairness.
+  // max-min fairness. Paths are routed straight into a per-thread CSR arena
+  // and solved once globally (no component split, no vector-of-vectors
+  // unless `paths_out` asks for them), so the call costs O(nnz log L).
+  // Endpoint ids outside [0, num_endpoints) throw std::out_of_range; a
+  // `weights` or `rate_caps` size other than pairs.size() throws
+  // std::invalid_argument.
   std::vector<double> steady_rates(const std::vector<std::pair<int, int>>& pairs,
                                    const std::vector<double>* weights = nullptr,
                                    std::vector<std::vector<int>>* paths_out = nullptr,
@@ -204,7 +210,7 @@ class Fabric {
   std::uint64_t capacity_epoch() const { return overlay_.capacity_epoch(); }
 
  private:
-  void apply_hol_blocking(const std::vector<std::vector<int>>& paths,
+  void apply_hol_blocking(const PathsCsr& paths,
                           std::vector<double>& rates) const;
 
   std::shared_ptr<const TopologySnapshot> snap_;

@@ -768,10 +768,11 @@ void FlowSim::warm_solve(SolveStats* ss) {
   // state: no BFS completion, no id sort, no CSR re-pack, no link renumber.
   // `active_order_` is already the cold solve's flow visit order and each
   // `flows_on_link_` list is already in the cold solve's
-  // transposed-incidence order (ascending flow id), so running the
-  // water-filling loop of `max_min_rates_csr` directly over them performs
-  // the same arithmetic in the same order — rates are bit-identical to the
-  // cold path (the differential suite pins this). Every flow is
+  // transposed-incidence order (ascending flow id), so running the scan
+  // water-filling loop of `max_min_rates_reference` directly over them
+  // performs the same arithmetic in the same order — rates are
+  // bit-identical to the cold path, whose CSR core matches the
+  // reference bit for bit (the differential suite pins both). Every flow is
   // unit-weight here; the frozen-prefix replay relies on that.
   const std::size_t members = active_order_.size();
   const std::uint64_t cap_epoch = fabric_.capacity_epoch();
@@ -816,9 +817,9 @@ void FlowSim::warm_solve(SolveStats* ss) {
   }
 
   // Encounter pass: residual capacity, unfrozen weight and the active-link
-  // list in first-seen order over flows in ascending id — exactly how the
-  // CSR core initialises its scratch from a packed problem. Since ISSUE 10
-  // warm_resid_/warm_aw_ are POSITION-indexed (dense SoA parallel to
+  // list in first-seen order over flows in ascending id — exactly how both
+  // solver cores number links for a packed problem. warm_resid_/warm_aw_
+  // are POSITION-indexed (dense SoA parallel to
   // warm_links_, contiguous for the scan kernel); link_local_id_ under the
   // current remap epoch maps link id -> position, exactly as the component
   // packer uses it.
@@ -933,8 +934,8 @@ void FlowSim::warm_solve(SolveStats* ss) {
   }
 
   const double inf = std::numeric_limits<double>::infinity();
-  // Same dispatched kernel as the CSR core: a branch-free sweep over the
-  // dense position-indexed block (simd.hpp pins scalar == AVX2 bitwise).
+  // Dispatched min-share kernel: a branch-free sweep over the dense
+  // position-indexed block (simd.hpp pins scalar == AVX2 bitwise).
   const MinShareScanFn kernel = min_share_scan();
   const SolverTuning& tun = solver_tuning();
   auto scan_min = [&](std::size_t b, std::size_t e) {
@@ -964,8 +965,8 @@ void FlowSim::warm_solve(SolveStats* ss) {
       const auto lu = static_cast<std::size_t>(warm_links_[pi]);
       ++bottlenecks;
       const auto& on = flows_on_link_[lu];
-      // Same serial-vs-batch split as the CSR core (see solver.hpp on why
-      // the batch path is bit-identical); unit rates make the per-link
+      // Serial-vs-batch split (see SolverTuning in solver.hpp on why the
+      // batch path is bit-identical); unit rates make the per-link
       // subtraction values within one batch all equal to min_share.
       std::size_t batch = 0;
       if (n_active >= tun.parallel_scan_threshold) {

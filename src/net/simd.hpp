@@ -4,7 +4,7 @@
 //     min over live links of  (active_w > 0 ? max(0, residual) / active_w
 //                                           : +inf)
 //
-// Since ISSUE 10 the solver keeps `residual[]` / `active_w[]` position-
+// FlowSim's warm-start solve keeps `residual[]` / `active_w[]` position-
 // indexed and contiguous (parallel to the compacted active-link list), so
 // the scan is a straight sweep over two double arrays. This header exposes
 // that sweep as a kernel with two implementations that are bitwise

@@ -71,7 +71,10 @@ class TopologySnapshot {
   // Route one flow under the failure view (nullable). Adaptive routing
   // consults `global_load` (flows currently assigned per link) when provided.
   // Thread-safe: concurrent callers may share the snapshot (each needs its
-  // own rng and failure view).
+  // own rng and failure view). Allocation-free once `out` and the calling
+  // thread's detour buffer have warmed. Endpoint ids outside
+  // [0, num_endpoints) throw std::out_of_range (so do the other routing
+  // entry points).
   void route_into(int src_ep, int dst_ep, sim::Rng& rng,
                   const std::vector<int>* global_load,
                   const std::vector<char>* failed, std::vector<int>& out) const;
@@ -83,9 +86,10 @@ class TopologySnapshot {
                          std::vector<int>& out) const;
 
   // Valiant non-minimal path (random intermediate group avoiding failed
-  // global bundles under the view).
-  std::vector<int> valiant_path(int src_ep, int dst_ep, sim::Rng& rng,
-                                const std::vector<char>* failed) const;
+  // global bundles under the view), written into `out` (cleared first).
+  void valiant_path_into(int src_ep, int dst_ep, sim::Rng& rng,
+                         const std::vector<char>* failed,
+                         std::vector<int>& out) const;
 
   // Minimal paths never change from terminal/local failures and the cache is
   // never reset, so these are failure-view-free conveniences.
@@ -95,6 +99,7 @@ class TopologySnapshot {
  private:
   struct RouteCache;  // defined in snapshot.cpp
 
+  void check_endpoints(int src_ep, int dst_ep) const;
   // Failure-free minimal path via the two-level cache.
   void base_minimal_path_into(int src_ep, int dst_ep,
                               std::vector<int>& out) const;

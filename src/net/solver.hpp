@@ -7,11 +7,16 @@
 // congestion-managed fabric like Slingshot converges to for long flows.
 //
 // The hot entry point is `max_min_rates_csr`: paths live in a flat CSR arena
-// (`PathsCsr`), the transposed link->flow incidence is rebuilt into a
-// caller-owned `SolveScratch` by counting sort, and a steady-state re-solve
-// performs zero heap allocations once the scratch has warmed to the problem
-// size (DESIGN.md §8). The `std::vector`-of-`std::vector` entry points are
-// retained as thin adapters (and `max_min_rates_reference` as the original
+// (`PathsCsr`), link shares sit in an indexed min-heap, and each iteration
+// touches only the links on the paths it freezes, so a cold solve costs
+// O(nnz log L) (nnz = path entries, L = links crossed) instead of
+// O(iterations x live links). Each solve scans first and moves to the
+// heap once the scans have cost kCsrScanBudget, so small problems never
+// pay for the heap. All working state lives in a caller-owned
+// `SolveScratch`, and a steady-state re-solve performs zero heap
+// allocations once the scratch has warmed to the problem size (DESIGN.md
+// §8). The `std::vector`-of-`std::vector` entry points are retained as thin
+// adapters (and `max_min_rates_reference` as the original scan-based
 // implementation) so differential tests can pin the CSR core bit-for-bit.
 #pragma once
 
@@ -21,17 +26,20 @@
 
 namespace xscale::net {
 
-// Parallelisation gates shared by the CSR core and FlowSim's warm-start
-// solve (flowsim.cpp mirrors the core loop over its persistent incidence,
-// DESIGN.md §9). Below parallel_scan_threshold active links the serial
-// min-scan wins; above it the scan is farmed out in scan_grain-link chunks
-// (min over doubles is exact and order-independent, so the parallel reduce
-// returns the same bits). A single firing link freezing at least
-// parallel_update_min flows has its residual / active-weight updates applied
-// by a parallel per-link sweep instead of the serial per-flow walk. Only
-// batches from ONE firing link qualify: within such a batch the subtraction
-// order projected onto any other link is ascending flow id — exactly the
-// transposed-incidence order — so the parallel sweep performs the same
+// Parallelisation gates of FlowSim's warm-start solve (flowsim.cpp runs the
+// scan-based water-filling loop over its persistent incidence, DESIGN.md §9)
+// and of the scan in `max_min_rates_reference`. The CSR core
+// (`max_min_rates_csr`) is serial (scan first, then heap); it reads none
+// of these.
+// Below parallel_scan_threshold active links the serial min-scan wins;
+// above it the scan is farmed out in scan_grain-link chunks (min over
+// doubles is exact and order-independent, so the parallel reduce returns
+// the same bits). A single firing link freezing at least
+// parallel_update_min flows has its residual / active-weight updates
+// applied by a parallel per-link sweep instead of the serial per-flow walk.
+// Only batches from ONE firing link qualify: within such a batch the
+// subtraction order projected onto any other link is ascending flow id —
+// exactly the incidence order — so the parallel sweep performs the same
 // subtractions per link in the same order and the result is bit-identical
 // to the serial path (the gates depend only on problem state, never on the
 // thread count — and never on which scan kernel is dispatched).
@@ -62,11 +70,27 @@ struct SolveStats {
   // 32 bits (a week-long storage campaign re-solves billions of times).
   std::int64_t iterations = 0;
   std::int64_t bottleneck_links = 0;
-  // Water-filling iterations whose min-share scan crossed the
+  // Scan-based solves only (FlowSim's warm path and the reference):
+  // water-filling iterations whose min-share scan crossed the
   // parallel_scan_threshold gate and ran as a chunked parallel reduce
   // (scan_engaged% in the bench counters = parallel_scans / iterations).
+  // Always 0 from the CSR core, which is serial.
   std::int64_t parallel_scans = 0;
+  // CSR core only: link shares re-evaluated — heap re-keys plus
+  // candidate-queue re-tests on the heap loop, live links swept on the scan
+  // loop. A deterministic work count for the bench rows (link_updates/solve).
+  std::int64_t link_updates = 0;
 };
+
+// Work budget of `max_min_rates_csr`'s scan phase, in positions scanned
+// (crossed links x iterations). A scan iteration costs O(crossed links) and
+// nothing up front; the heap costs a setup, tie walk and candidate queue
+// that only pay off over many iterations on many links. So the core scans
+// until the next iteration would take the total past this budget, then
+// moves to the heap. The value comes from measurements (EXPERIMENTS.md).
+// It is not a tuning knob: both loops return the same bits, and tests size
+// their problems to reach every path (scan only, switch, heap only).
+inline constexpr std::size_t kCsrScanBudget = 1024;
 
 // Flat CSR path set: flow f's links are `link_ids[offsets[f] ..
 // offsets[f+1])`. `offsets` always carries num_flows()+1 entries with
@@ -103,28 +127,33 @@ struct PathsCsr {
 // `net.solver.scratch_reuse` counter tracks exactly that). Solver output is
 // independent of prior scratch contents, so one scratch may serve unrelated
 // problems back to back (FlowSim keeps one per simulator; the adapters keep
-// one per thread).
+// one per thread). Nothing here is O(num_links) per solve: link ids map to
+// positions through an epoch-stamped table that is never cleared, and every
+// other buffer is indexed by position, path entry or flow.
 struct SolveScratch {
-  // Dense link-state SoA (ISSUE 10): residual capacity and unfrozen weight
-  // are indexed by POSITION in `active_links`, not by link id, so the
-  // min-share scan is a branch-free sweep over two contiguous double arrays
-  // (src/net/simd.hpp). `link_pos[link id]` maps back (-1 when the link is
-  // not on the active list); erasures compact all three arrays in tandem,
-  // preserving first-seen order.
-  std::vector<double> residual;   // [active position] remaining capacity
-  std::vector<double> active_w;   // [active position] unfrozen weight
-  std::vector<int> active_links;  // links with unfrozen flows, first-seen order
-  std::vector<int> link_pos;      // [num_links] position in active_links or -1
-  std::vector<char> frozen;       // [num_flows]
-  // Transposed incidence (link -> flows), rebuilt per solve by counting sort.
-  std::vector<int> t_off;     // [num_links + 1]
-  std::vector<int> t_cursor;  // [num_links] fill cursors
-  std::vector<int> t_flow;    // [nnz]
-  // Parallel rate-update support: flows frozen by the current large batch
-  // carry the current epoch, so the per-link update sweep can identify them
-  // without any per-solve clearing (epoch grows monotonically).
-  std::vector<std::uint64_t> batch_mark;  // [num_flows]
-  std::uint64_t batch_epoch = 0;
+  // Per-solve arrays, carved out of three arenas so that a problem larger
+  // than any seen before costs a handful of allocations, not one per array.
+  // Links are numbered by POSITION: first-seen order over the path entries
+  // (flows ascending, then hops), the order the reference visits its
+  // active-link list; positions are never compacted.
+  //   real:  residual | active_w | heap keys                  [positions]
+  //   index: transposed incidence offsets (+1) | heap slot of each
+  //          position | heap array | candidate queue | touched list
+  //                                                          [positions]
+  //          | position of each path entry | transposed incidence
+  //                                                          [path entries]
+  //   bytes: queued/touched/retired flags [positions] | frozen [flows]
+  // The heap is an indexed binary min-heap of link shares
+  // max(0, residual) / active_w; a stored key is a lower bound on the
+  // link's share, exact whenever the entry is at the top.
+  std::vector<double> real;
+  std::vector<int> index;
+  std::vector<unsigned char> bytes;
+  // Epoch-stamped id -> position map: link_pos[id] is valid iff
+  // link_stamp[id] == epoch, so no per-solve clearing pass.
+  std::vector<int> link_pos;              // [num_links]
+  std::vector<std::uint64_t> link_stamp;  // [num_links]
+  std::uint64_t epoch = 0;
   // Set by `max_min_rates_csr`: whether the last solve had to grow any
   // buffer. Owners with deterministic call sites use it to feed the
   // `net.solver.scratch_reuse` counter (the solver itself does not count —
@@ -135,11 +164,13 @@ struct SolveScratch {
 
 // Water-filling over a CSR path set. Writes one rate per flow into
 // `rates_out` (size >= paths.num_flows()). Link ids must lie in
-// [0, num_links); `weights` (nullable) has one entry per flow. Validation
-// matches `max_min_rates`: non-finite/negative capacities or weights throw
-// std::invalid_argument, an unbounded allocation throws std::runtime_error.
-// Bit-for-bit identical to `max_min_rates_reference` on the same input — the
-// differential suite pins this at every thread count.
+// [0, num_links); `weights` (nullable) has one entry per flow. A non-finite
+// or negative capacity on a link some flow crosses, or a non-finite or
+// negative weight, throws std::invalid_argument — the rule every entry
+// point below shares (capacities of links no flow crosses are never read);
+// an unbounded allocation throws std::runtime_error. Bit-for-bit identical to `max_min_rates_reference` on
+// the same input — rates, `iterations` and `bottleneck_links` — DESIGN.md
+// §9 gives the argument and the differential suite pins it.
 void max_min_rates_csr(const double* capacities, std::size_t num_links,
                        const PathsCsr& paths, const double* weights,
                        double* rates_out, SolveStats* stats,

@@ -4,14 +4,6 @@
 #include <stdexcept>
 
 namespace xscale::topo {
-namespace {
-
-std::uint64_t key(int a, int b, int stride) {
-  return static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(stride) +
-         static_cast<std::uint64_t>(b);
-}
-
-}  // namespace
 
 int Topology::add_link(int src, int dst, LinkKind kind, double cap, double lat) {
   const int id = static_cast<int>(links_.size());
@@ -20,13 +12,26 @@ int Topology::add_link(int src, int dst, LinkKind kind, double cap, double lat) 
 }
 
 int Topology::switch_link(int u, int v) const {
-  const auto it = switch_link_idx_.find(key(u, v, num_switches_ + 1));
-  return it == switch_link_idx_.end() ? -1 : it->second;
+  if (u < 0 || v < 0 || u >= num_switches_ || v >= num_switches_ || u == v)
+    return -1;
+  if (fat_tree_) {
+    const int core = num_switches_ - 1;
+    if (v == core) return core_uplink_[static_cast<std::size_t>(u)];
+    if (u == core) return core_downlink_[static_cast<std::size_t>(v)];
+    return -1;
+  }
+  const auto g = static_cast<std::size_t>(group_of_switch(u));
+  if (local_block_.empty() || group_of_switch(v) != static_cast<int>(g)) return -1;
+  const auto first = static_cast<std::size_t>(group_first_switch_[g]);
+  const auto n = static_cast<std::size_t>(group_size_[g]);
+  return local_link_[local_block_[g] + (static_cast<std::size_t>(u) - first) * n +
+                     (static_cast<std::size_t>(v) - first)];
 }
 
 int Topology::global_link(int g, int h) const {
-  const auto it = global_link_idx_.find(key(g, h, n_groups_ + 1));
-  return it == global_link_idx_.end() ? -1 : it->second;
+  if (g < 0 || h < 0 || g >= n_groups_ || h >= n_groups_) return -1;
+  return global_link_[static_cast<std::size_t>(g) * static_cast<std::size_t>(n_groups_) +
+                      static_cast<std::size_t>(h)];
 }
 
 int Topology::gateway_switch(int g, int h) const {
@@ -90,8 +95,9 @@ Topology Topology::dragonfly(const std::vector<GroupSpec>& groups,
     t.injection_link_.reserve(endpoints);
     t.ejection_link_.reserve(endpoints);
     t.links_.reserve(2 * endpoints + locals + globals);
-    t.switch_link_idx_.reserve(locals);
-    t.global_link_idx_.reserve(globals);
+    t.global_link_.assign(static_cast<std::size_t>(t.n_groups_) *
+                              static_cast<std::size_t>(t.n_groups_),
+                          -1);
   }
 
   // Switch ids, grouped contiguously.
@@ -123,12 +129,16 @@ Topology Topology::dragonfly(const std::vector<GroupSpec>& groups,
   for (int g = 0; g < t.n_groups_; ++g) {
     const int first = t.group_first_switch_[static_cast<std::size_t>(g)];
     const int n = t.group_size_[static_cast<std::size_t>(g)];
+    const std::size_t block = t.local_link_.size();
+    t.local_block_.push_back(block);
+    t.local_link_.resize(block + static_cast<std::size_t>(n) * static_cast<std::size_t>(n), -1);
     for (int a = 0; a < n; ++a)
       for (int b = 0; b < n; ++b) {
         if (a == b) continue;
         const int id = t.add_link(first + a, first + b, LinkKind::Local, link_bw,
                                   hop_latency);
-        t.switch_link_idx_[key(first + a, first + b, t.num_switches_ + 1)] = id;
+        t.local_link_[block + static_cast<std::size_t>(a) * static_cast<std::size_t>(n) +
+                      static_cast<std::size_t>(b)] = id;
       }
   }
 
@@ -149,7 +159,8 @@ Topology Topology::dragonfly(const std::vector<GroupSpec>& groups,
                        g % t.group_size_[static_cast<std::size_t>(h)];
       const int id = t.add_link(gw_g, gw_h, LinkKind::Global,
                                 static_cast<double>(nl) * link_bw, hop_latency);
-      t.global_link_idx_[key(g, h, t.n_groups_ + 1)] = id;
+      t.global_link_[static_cast<std::size_t>(g) * static_cast<std::size_t>(t.n_groups_) +
+                     static_cast<std::size_t>(h)] = id;
     }
   return t;
 }
@@ -190,7 +201,9 @@ Topology Topology::oversubscribed_fat_tree(int leaves, int eps_per_leaf,
   t.injection_link_.reserve(eps);
   t.ejection_link_.reserve(eps);
   t.links_.reserve(2 * eps + 2 * static_cast<std::size_t>(leaves));
-  t.switch_link_idx_.reserve(2 * static_cast<std::size_t>(leaves));
+  t.global_link_.assign(1, -1);  // one group, no global bundles
+  t.core_uplink_.reserve(static_cast<std::size_t>(leaves));
+  t.core_downlink_.reserve(static_cast<std::size_t>(leaves));
 
   for (int l = 0; l < leaves; ++l) {
     for (int e = 0; e < eps_per_leaf; ++e) {
@@ -208,8 +221,8 @@ Topology Topology::oversubscribed_fat_tree(int leaves, int eps_per_leaf,
         link_bw * static_cast<double>(eps_per_leaf) / oversub_ratio;
     const int upl = t.add_link(l, core, LinkKind::Core, up, hop_latency);
     const int dnl = t.add_link(core, l, LinkKind::Core, up, hop_latency);
-    t.switch_link_idx_[key(l, core, t.num_switches_ + 1)] = upl;
-    t.switch_link_idx_[key(core, l, t.num_switches_ + 1)] = dnl;
+    t.core_uplink_.push_back(upl);
+    t.core_downlink_.push_back(dnl);
   }
   return t;
 }
@@ -248,7 +261,7 @@ Topology Topology::rotor(int n_switches, int eps_per_switch, int n_matchings,
   t.injection_link_.reserve(eps);
   t.ejection_link_.reserve(eps);
   t.links_.reserve(2 * eps + globals);
-  t.global_link_idx_.reserve(globals);
+  t.global_link_.assign(ns * ns, -1);
 
   for (int s = 0; s < n_switches; ++s) {
     t.group_first_switch_.push_back(s);
@@ -273,7 +286,7 @@ Topology Topology::rotor(int n_switches, int eps_per_switch, int n_matchings,
     for (int i = 0; i < n_switches; ++i) {
       const int j = (i + m + 1) % n_switches;
       const int id = t.add_link(i, j, LinkKind::Global, cap, hop_latency);
-      t.global_link_idx_[key(i, j, t.n_groups_ + 1)] = id;
+      t.global_link_[static_cast<std::size_t>(i) * ns + static_cast<std::size_t>(j)] = id;
     }
   }
   return t;

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -163,10 +162,17 @@ class Topology {
   std::vector<int> group_of_switch_;
   std::vector<int> group_first_switch_;  // per group
   std::vector<int> group_size_;          // switches per group
-  // (u * num_vertices + v) -> link id for switch-switch links.
-  std::unordered_map<std::uint64_t, int> switch_link_idx_;
-  // (g * num_groups + h) -> link id.
-  std::unordered_map<std::uint64_t, int> global_link_idx_;
+  // Dense link-id tables (-1 = no link); routing looks several up per flow.
+  // Intra-group switch links: one size x size block per group, row = source
+  // switch, column = destination switch, both relative to the group's first
+  // switch; local_block_[g] is group g's offset into local_link_ (dragonfly).
+  std::vector<int> local_link_;
+  std::vector<std::size_t> local_block_;
+  // Fat-tree leaf <-> core links, indexed by leaf switch id.
+  std::vector<int> core_uplink_;
+  std::vector<int> core_downlink_;
+  // Global links: [g * num_groups + h] -> link id for the g -> h bundle.
+  std::vector<int> global_link_;
   int n_groups_ = 0;
 };
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 
 #include "machines/machine.hpp"
 #include "mpi/comm.hpp"
@@ -165,6 +166,32 @@ TEST(SimComm, AnalyticMachineWorksWithoutFabric) {
   EXPECT_GT(comm.sustained_per_rank_bw(), 0.0);
   EXPECT_GT(comm.allreduce_time(8), 0.0);
   EXPECT_GT(comm.latency(0, 64), 1e-6);
+}
+
+TEST(SimComm, AllocationBeyondComputeNodesThrows) {
+  Fixture fx;
+  auto fabric = fx.m.build_fabric();
+  const int n = fx.m.compute_nodes;
+  EXPECT_THROW(mpi::SimComm(fx.m, &fabric, iota_nodes(n + 1)),
+               std::invalid_argument);
+  EXPECT_THROW(mpi::SimComm(fx.m, &fabric, {0, n}), std::invalid_argument);
+  EXPECT_THROW(mpi::SimComm(fx.m, &fabric, {-1, 3}), std::invalid_argument);
+  EXPECT_THROW(mpi::SimComm(fx.m, &fabric, {}), std::invalid_argument);
+  EXPECT_NO_THROW(mpi::SimComm(fx.m, &fabric, iota_nodes(n)));
+  // Analytic machines are bounded by their own node count too.
+  const auto mira = machines::mira();
+  EXPECT_THROW(mpi::SimComm(mira, nullptr, iota_nodes(mira.compute_nodes + 1)),
+               std::invalid_argument);
+}
+
+TEST(Gpcnet, MoreNodesThanTheMachineThrows) {
+  Fixture fx;
+  auto fabric = fx.m.build_fabric();
+  mpi::GpcnetConfig cfg;
+  cfg.nodes = fx.m.compute_nodes + 1;
+  EXPECT_THROW(mpi::run_gpcnet(fx.m, fabric, cfg), std::invalid_argument);
+  cfg.nodes = 0;
+  EXPECT_THROW(mpi::run_gpcnet(fx.m, fabric, cfg), std::invalid_argument);
 }
 
 TEST(Gpcnet, CongestionControlIsolatesAt8Ppn) {

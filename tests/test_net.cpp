@@ -118,6 +118,31 @@ TEST(Solver, MalformedCapacitiesThrowInAllBuildModes) {
   EXPECT_NO_THROW(net::max_min_rates({0.0}, paths));  // failed link: rate 0
 }
 
+TEST(Solver, EveryEntryPointValidatesExactlyTheCrossedCapacities) {
+  // One rule for the CSR core, the reference and the component solver: a
+  // capacity no flow crosses is never read, so a NaN there is accepted with
+  // identical rates everywhere; the same NaN on a crossed link is rejected
+  // everywhere.
+  const std::vector<std::vector<int>> paths{{0, 2}, {2}, {3}};
+  std::vector<double> cap{4.0, std::nan(""), 6.0, 1.0};
+  const auto core = net::max_min_rates(cap, paths);
+  EXPECT_EQ(core, (std::vector<double>{3.0, 3.0, 1.0}));
+  EXPECT_EQ(net::max_min_rates_reference(cap, paths), core);
+  EXPECT_EQ(net::max_min_rates_components(cap, paths), core);
+  net::PathsCsr csr;
+  for (const auto& p : paths) csr.push_path(p.begin(), p.end());
+  net::SolveScratch scratch;
+  std::vector<double> rates(paths.size());
+  net::max_min_rates_csr(cap.data(), cap.size(), csr, nullptr, rates.data(),
+                         nullptr, scratch);
+  EXPECT_EQ(rates, core);
+
+  const std::vector<std::vector<int>> crossing{{0, 1}, {2}};
+  EXPECT_THROW(net::max_min_rates(cap, crossing), std::invalid_argument);
+  EXPECT_THROW(net::max_min_rates_reference(cap, crossing), std::invalid_argument);
+  EXPECT_THROW(net::max_min_rates_components(cap, crossing), std::invalid_argument);
+}
+
 TEST(Solver, MalformedWeightsThrowInsteadOfHanging) {
   const std::vector<double> cap{10.0};
   const std::vector<std::vector<int>> paths{{0}};
@@ -263,6 +288,25 @@ TEST(Fabric, IntraSwitchPairHitsNicEfficiency) {
   auto f = small_dragonfly(net::Routing::Minimal);
   const auto rates = f.steady_rates({{0, 1}});
   EXPECT_NEAR(rates[0] / 1e9, 25.0 * 0.70, 0.01);
+}
+
+TEST(Fabric, OutOfRangeEndpointsThrowInsteadOfIndexingPastTheFabric) {
+  auto f = small_dragonfly(net::Routing::Adaptive);
+  const int n = f.topology().num_endpoints();
+  sim::Rng rng(1);
+  EXPECT_THROW(f.route(-1, 0, rng), std::out_of_range);
+  EXPECT_THROW(f.route(0, n, rng), std::out_of_range);
+  EXPECT_THROW(f.steady_rates({{0, 1}, {2, n}}), std::out_of_range);
+  EXPECT_THROW(f.steady_rates({{-5, 1}}), std::out_of_range);
+  // A throw mid-routing leaves no adaptive load behind: the next call on
+  // this thread routes and solves exactly as a fresh one.
+  const net::PairList pairs{{0, 17}, {1, 18}, {2, 33}};
+  const auto fresh = small_dragonfly(net::Routing::Adaptive).steady_rates(pairs);
+  EXPECT_EQ(f.steady_rates(pairs), fresh);
+  const std::vector<double> short_w{1.0};
+  EXPECT_THROW(f.steady_rates(pairs, &short_w), std::invalid_argument);
+  EXPECT_THROW(f.steady_rates(pairs, nullptr, nullptr, &short_w),
+               std::invalid_argument);
 }
 
 TEST(Fabric, MinimalPathHopCounts) {

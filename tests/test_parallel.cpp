@@ -124,12 +124,12 @@ TEST(ThreadPool, ParallelEmitConcatenatesInChunkOrder) {
   EXPECT_EQ(serial, emit());
 }
 
-// The CSR core's batched rate-update path: one firing link freezing more
-// than parallel_update_min flows, in a problem with enough links to open the
-// parallel gates. The last 50 flows ride private links whose residuals are
-// written by the batched sweep, so their level-2 rates expose any wrong or
-// misordered subtraction. Must be bit-identical to the reference at every
-// thread count.
+// One firing link freezing more than parallel_update_min flows, in a
+// problem big enough to open the reference's parallel scan gate. The CSR
+// core is serial; the reference scans in parallel chunks
+// here. The last 50 flows ride private links that the big batch subtracts
+// from, so their level-2 rates expose any wrong or misordered subtraction.
+// Must be bit-identical to the reference at every thread count.
 TEST(ThreadPool, SolverBatchUpdatePathMatchesReferenceAcrossThreads) {
   ThreadCountGuard guard;
   const std::size_t incast = 2050;

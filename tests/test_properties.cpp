@@ -2,8 +2,13 @@
 // with TEST_P / INSTANTIATE_TEST_SUITE_P.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <map>
 #include <numeric>
 #include <set>
+#include <string>
+#include <typeinfo>
 
 #include "apps/catalog.hpp"
 #include "core/xscale.hpp"
@@ -61,14 +66,25 @@ TEST_P(SolverProperty, MaxMinInvariantsHold) {
   }
 
   // 4. The component-parallel solver satisfies the same invariants and is
-  //    bit-identical to the global serial solve at every thread count.
+  //    bit-identical to the global serial solve at every thread count. Its
+  //    stats are per-component sums, identical at every thread count, and
+  //    every fired link was re-tested at least once (link_updates is summed
+  //    with the other counters, not dropped when the problem splits).
   const int prev_threads = sim::thread_count();
+  net::SolveStats first{};
   for (int threads : {1, 2, 8}) {
     sim::set_thread_count(threads);
-    const auto rc = net::max_min_rates_components(cap, paths);
+    net::SolveStats cs{};
+    const auto rc = net::max_min_rates_components(cap, paths, nullptr, &cs);
     ASSERT_EQ(rc.size(), r.size());
     for (std::size_t f = 0; f < r.size(); ++f)
       EXPECT_EQ(rc[f], r[f]) << "flow " << f << " at threads=" << threads;
+    EXPECT_GE(cs.link_updates, cs.bottleneck_links);
+    EXPECT_GT(cs.bottleneck_links, 0);
+    if (threads == 1) first = cs;
+    EXPECT_EQ(cs.iterations, first.iterations);
+    EXPECT_EQ(cs.bottleneck_links, first.bottleneck_links);
+    EXPECT_EQ(cs.link_updates, first.link_updates);
   }
   sim::set_thread_count(prev_threads);
 }
@@ -558,5 +574,397 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<RouteFamily>& info) {
       return std::string(info.param.name);
     });
+
+// ---------------------------------------------------- CSR core vs oracle ----
+
+// Bitwise double identity (EXPECT_EQ would equate +0.0 and -0.0).
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Tie-heavy randomized differential. Small-integer and decimal capacities
+// (zero included) and weights drawn from {0, tiny, fractional, integer} make
+// exact share ties common. Most problems go further: capacities are summed
+// from per-flow fair-share levels (often one level for every flow) in
+// reverse flow order, so in exact arithmetic many links saturate together
+// and in floating point their shares land ULPs apart, with the solver's
+// subtractions cancelling to tiny residuals. That is where a link slips
+// into or out of the current iteration after an earlier subtraction in the
+// same sweep — the case the heap loop's position-ordered candidate queue
+// exists for (DESIGN.md §9). Problem sizes cover every path through the
+// CSR core: half cross at most 10 links (its scan loop only), seven in 16
+// cross 64-255 (the scan phase spends kCsrScanBudget within a few
+// iterations and the heap loop finishes the solve), one in 16 more than
+// kCsrScanBudget (the heap loop from the first iteration). The CSR core
+// must reproduce the scan-based reference exactly: rate bits, iteration
+// count and fired-link count, or the same exception.
+TEST(SolverDifferential, TieHeavyRandomProblemsMatchReferenceBitwise) {
+  sim::Rng rng(0x7E57u);
+  const double cap_menu[] = {0.0, 1.0, 2.0, 3.0, 0.1, 0.3, 0.7, 1.0 / 3.0, 0.9};
+  // 1e-13 leaves a link crossed only by such flows below the reference's
+  // 1e-12 retirement threshold from the start.
+  const double weight_menu[] = {0.0, 1e-13, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.0, 1.5, 3.0};
+  const double level_menu[] = {0.1, 0.3, 0.7, 1.0 / 3.0, 1.0};
+  const std::int64_t budget = static_cast<std::int64_t>(net::kCsrScanBudget);
+  int solved = 0, multi_tie = 0, switched = 0, switched_multi_tie = 0, heap_only = 0;
+  for (int problem = 0; problem < 20000; ++problem) {
+    const int size_class = problem % 16;
+    const int nl = size_class < 8    ? 1 + static_cast<int>(rng.index(10))
+                   : size_class < 15 ? 64 + static_cast<int>(rng.index(192))
+                                     : static_cast<int>(budget) + 128 + static_cast<int>(rng.index(256));
+    const int nf = size_class < 8 ? 1 + static_cast<int>(rng.index(24))
+                                  : nl + static_cast<int>(rng.index(static_cast<std::uint64_t>(nl)));
+    std::vector<double> cap(static_cast<std::size_t>(nl));
+    for (auto& c : cap) c = cap_menu[rng.index(std::size(cap_menu))];
+    const bool saturated = rng.index(4) != 0;
+    std::vector<std::vector<int>> paths(static_cast<std::size_t>(nf));
+    std::set<int> crossed;
+    for (auto& p : paths) {
+      const int len = 1 + static_cast<int>(rng.index(static_cast<std::uint64_t>(std::min(nl, 4))));
+      while (static_cast<int>(p.size()) < len) {
+        const int l = static_cast<int>(rng.index(static_cast<std::uint64_t>(nl)));
+        if (std::find(p.begin(), p.end(), l) == p.end()) p.push_back(l);
+      }
+      crossed.insert(p.begin(), p.end());
+    }
+    const auto npos = static_cast<std::int64_t>(crossed.size());
+    std::vector<double> w(static_cast<std::size_t>(nf), 1.0);
+    const bool weighted = rng.index(4) != 0;
+    if (weighted)
+      for (auto& x : w) x = weight_menu[rng.index(std::size(weight_menu))];
+    const std::vector<double>* wp = weighted ? &w : nullptr;
+    if (saturated) {
+      const bool one_level = rng.index(2) == 0;
+      const double shared = level_menu[rng.index(std::size(level_menu))];
+      std::vector<double> level(static_cast<std::size_t>(nf));
+      for (auto& x : level)
+        x = one_level ? shared : level_menu[rng.index(std::size(level_menu))];
+      std::fill(cap.begin(), cap.end(), 0.0);
+      for (std::size_t f = paths.size(); f-- > 0;)
+        for (int l : paths[f]) cap[static_cast<std::size_t>(l)] += level[f] * w[f];
+    }
+
+  net::SolveStats ref_stats{}, csr_stats{};
+    std::vector<double> ref, csr;
+    std::string ref_err = "none", csr_err = "none";
+    try {
+      ref = net::max_min_rates_reference(cap, paths, wp, &ref_stats);
+    } catch (const std::exception& e) {
+      ref_err = typeid(e).name();
+    }
+    try {
+      csr = net::max_min_rates(cap, paths, wp, &csr_stats);
+    } catch (const std::exception& e) {
+      csr_err = typeid(e).name();
+    }
+    ASSERT_EQ(ref_err, csr_err) << "problem " << problem;
+    if (ref_err != "none") continue;
+    ++solved;
+    const bool tie = ref_stats.bottleneck_links > ref_stats.iterations;
+    if (tie) ++multi_tie;
+    // The scan phase runs budget / npos iterations at most.
+    if (npos > budget) {
+      ++heap_only;
+    } else if (ref_stats.iterations > budget / npos) {
+      ++switched;
+      if (tie) ++switched_multi_tie;
+    }
+    ASSERT_EQ(ref.size(), csr.size());
+    for (std::size_t f = 0; f < ref.size(); ++f)
+      ASSERT_EQ(bits(ref[f]), bits(csr[f]))
+          << "problem " << problem << " flow " << f << ": " << ref[f]
+          << " vs " << csr[f];
+    ASSERT_EQ(ref_stats.iterations, csr_stats.iterations) << "problem " << problem;
+    ASSERT_EQ(ref_stats.bottleneck_links, csr_stats.bottleneck_links)
+        << "problem " << problem;
+  }
+  // The sweep really is tie-heavy and mostly solvable (all-zero-weight
+  // problems throw on both sides), on every path through the CSR core.
+  EXPECT_GT(solved, 11000);
+  EXPECT_GT(multi_tie, 5000);
+  EXPECT_GT(switched, 1500);
+  EXPECT_GT(switched_multi_tie, 1500);
+  EXPECT_GT(heap_only, 200);
+}
+
+// A link whose crossers weigh 1e-13 in total starts below the 1e-12
+// retirement threshold. The reference erases it after its first iteration,
+// so a flow crossing only that link is never frozen and the solve has no
+// finite allocation. Both loops of the CSR core must agree: the scan loop's
+// per-iteration erase and the heap loop's iteration-1 sweep.
+TEST(SolverDifferential, TinyWeightLinkRetiresAfterTheFirstIteration) {
+  for (const std::size_t n : {std::size_t{3}, net::kCsrScanBudget + 1}) {
+    std::vector<double> cap(n + 1, 1.0);
+    std::vector<std::vector<int>> paths;
+    std::vector<double> w;
+    for (std::size_t l = 0; l < n; ++l) {
+      paths.push_back({static_cast<int>(l)});
+      w.push_back(1.0 + static_cast<double>(l % 3));
+    }
+    paths.push_back({static_cast<int>(n)});
+    w.push_back(1e-13);
+    EXPECT_THROW(net::max_min_rates_reference(cap, paths, &w), std::runtime_error) << n;
+    EXPECT_THROW(net::max_min_rates(cap, paths, &w), std::runtime_error) << n;
+  }
+}
+
+// --------------------------------------- steady_rates == route + solve ----
+
+// Head-of-line blocking as the fabric documents it (fabric.hpp): per
+// switch, the worst drain ratio of any oversubscribed link it sources,
+// applied to every flow crossing that switch. Re-derived here so the
+// no-congestion-control fabric has an independent oracle.
+void hol_reference(const net::Fabric& fabric,
+                   const std::vector<std::vector<int>>& paths,
+                   std::vector<double>& rates) {
+  const auto& topo = fabric.topology();
+  const auto& cap = fabric.effective_capacities();
+  std::vector<int> inj_count(topo.links().size(), 0);
+  for (const auto& p : paths) ++inj_count[static_cast<std::size_t>(p.front())];
+  std::vector<double> demand(topo.links().size(), 0.0);
+  for (const auto& p : paths) {
+    const auto inj = static_cast<std::size_t>(p.front());
+    const double desire = cap[inj] / std::max(1, inj_count[inj]);
+    for (int l : p) demand[static_cast<std::size_t>(l)] += desire;
+  }
+  std::vector<double> factor_of(static_cast<std::size_t>(topo.num_switches()), 1.0);
+  for (const auto& l : topo.links()) {
+    if (l.src >= topo.num_switches()) continue;
+    const auto id = static_cast<std::size_t>(l.id);
+    if (demand[id] > cap[id])
+      factor_of[static_cast<std::size_t>(l.src)] =
+          std::min(factor_of[static_cast<std::size_t>(l.src)], cap[id] / demand[id]);
+  }
+  for (std::size_t f = 0; f < paths.size(); ++f) {
+    double factor = 1.0;
+    for (int l : paths[f])
+      if (topo.link(l).src < topo.num_switches())
+        factor = std::min(factor, factor_of[static_cast<std::size_t>(topo.link(l).src)]);
+    rates[f] *= factor;
+  }
+}
+
+// The per-flow composition steady_rates replaced: route each pair (load
+// fed to adaptive routing), append caps as virtual links, solve by
+// component decomposition, then head-of-line blocking when CC is off.
+std::vector<double> steady_reference(const net::Fabric& fabric,
+                                     const net::PairList& pairs,
+                                     const std::vector<double>* weights,
+                                     const std::vector<double>* caps,
+                                     std::vector<std::vector<int>>* paths_out) {
+  sim::Rng rng(fabric.config().seed);
+  std::vector<int> load(fabric.topology().links().size(), 0);
+  std::vector<std::vector<int>> paths;
+  for (const auto& [s, d] : pairs) {
+    paths.push_back(fabric.route(s, d, rng, &load));
+    for (int l : paths.back()) ++load[static_cast<std::size_t>(l)];
+  }
+  std::vector<double> cap = fabric.effective_capacities();
+  auto capped = paths;
+  if (caps)
+    for (std::size_t f = 0; f < paths.size(); ++f)
+      if ((*caps)[f] > 0) {
+        capped[f].push_back(static_cast<int>(cap.size()));
+        cap.push_back((*caps)[f]);
+      }
+  auto rates = net::max_min_rates_components(cap, capped, weights);
+  if (!fabric.config().congestion_control) hol_reference(fabric, paths, rates);
+  *paths_out = std::move(paths);
+  return rates;
+}
+
+struct SteadyFamily {
+  const char* name;
+  net::Fabric (*make)();
+};
+
+net::Fabric steady_frontier() { return machines::frontier().build_fabric(); }
+net::Fabric steady_summit() { return machines::summit().build_fabric(); }
+net::Fabric steady_os_fat_tree() {
+  return net::Fabric(topo::Topology::oversubscribed_fat_tree(16, 8, 4.0, 25e9, 180e-9),
+                     net::FabricConfig{});
+}
+net::Fabric steady_rotor() {
+  return net::Fabric(topo::Topology::rotor(12, 8, 11, 250e-6, 0.9, 25e9, 180e-9),
+                     net::FabricConfig{});
+}
+
+class SteadyRatesFamily : public ::testing::TestWithParam<SteadyFamily> {};
+
+TEST_P(SteadyRatesFamily, SingleGlobalSolveMatchesRoutePlusComponentSolve) {
+  const net::Fabric fabric = GetParam().make();
+  const int eps = fabric.topology().num_endpoints();
+  sim::Rng rng(0x57EAD1u);
+  // A sampled rank permutation (the SimComm shape), 4 ranks per endpoint.
+  const int n = std::min(eps, 2048);
+  net::PairList pairs;
+  for (int rep = 0; rep < 4; ++rep)
+    for (const auto& [a, b] : net::random_permutation(n, rng))
+      if (a != b) pairs.emplace_back(a * (eps / n), b * (eps / n));
+  // GPCNeT-shaped extras: weighted flows (ranks sharing a NIC), half of
+  // them capped below line rate like message-rate-limited congestors.
+  std::vector<double> weights(pairs.size()), caps(pairs.size());
+  for (std::size_t f = 0; f < pairs.size(); ++f) {
+    weights[f] = static_cast<double>(1 + rng.index(4));
+    caps[f] = rng.index(2) == 0 ? 0.0 : 4.5e9 * weights[f];
+  }
+  for (const bool shaped : {false, true}) {
+    SCOPED_TRACE(shaped ? "weights+caps" : "plain");
+    const auto* wp = shaped ? &weights : nullptr;
+    const auto* cp = shaped ? &caps : nullptr;
+    std::vector<std::vector<int>> want_paths, got_paths;
+    const auto want = steady_reference(fabric, pairs, wp, cp, &want_paths);
+    const auto got = fabric.steady_rates(pairs, wp, &got_paths, cp);
+    ASSERT_EQ(got_paths, want_paths) << GetParam().name;
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t f = 0; f < got.size(); ++f)
+      ASSERT_EQ(bits(got[f]), bits(want[f]))
+          << GetParam().name << " flow " << f << ": " << got[f] << " vs " << want[f];
+    // Warm repeat (reused per-thread arena) is identical too.
+    EXPECT_EQ(fabric.steady_rates(pairs, wp, nullptr, cp), got);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, SteadyRatesFamily,
+    ::testing::Values(SteadyFamily{"frontier_adaptive", steady_frontier},
+                      SteadyFamily{"summit_hol", steady_summit},
+                      SteadyFamily{"os_fat_tree", steady_os_fat_tree},
+                      SteadyFamily{"rotor", steady_rotor}),
+    [](const ::testing::TestParamInfo<SteadyFamily>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(SteadyRatesFamily, FamiliesExerciseTheirModels) {
+  EXPECT_EQ(steady_frontier().config().routing, net::Routing::Adaptive);
+  EXPECT_FALSE(steady_summit().config().congestion_control);
+}
+
+// ------------------------------------------ dense routing-table identity ----
+
+// The hash-map lookups the dense tables replaced, rebuilt from the link
+// list: switch-switch links by (src, dst) switch, global links by
+// (src group, dst group).
+struct MapLookups {
+  std::map<std::pair<int, int>, int> sw, gl;
+  explicit MapLookups(const topo::Topology& t) {
+    for (const auto& l : t.links()) {
+      if (l.kind == topo::LinkKind::Local || l.kind == topo::LinkKind::Core)
+        sw[{l.src, l.dst}] = l.id;
+      if (l.kind == topo::LinkKind::Global)
+        gl[{t.group_of_switch(l.src), t.group_of_switch(l.dst)}] = l.id;
+    }
+  }
+  int switch_link(int u, int v) const {
+    const auto it = sw.find({u, v});
+    return it == sw.end() ? -1 : it->second;
+  }
+  int global_link(int g, int h) const {
+    const auto it = gl.find({g, h});
+    return it == gl.end() ? -1 : it->second;
+  }
+};
+
+// The map-based valiant path, transcribed from the implementation the
+// dense tables replaced (same RNG draws in the same order).
+std::vector<int> valiant_reference(const net::TopologySnapshot& snap,
+                                   const MapLookups& maps, int src, int dst,
+                                   sim::Rng& rng, const std::vector<char>* failed) {
+  const auto& t = snap.topology();
+  auto is_failed = [&](int l) {
+    return failed != nullptr && (*failed)[static_cast<std::size_t>(l)] != 0;
+  };
+  auto gateway = [&](int g, int h) {
+    const int id = maps.global_link(g, h);
+    return id < 0 ? -1 : t.link(id).src;
+  };
+  std::vector<int> minimal;
+  snap.minimal_path_into(src, dst, failed, minimal);
+  const int sa = t.endpoint_switch(src), sb = t.endpoint_switch(dst);
+  const int ga = t.group_of_switch(sa), gb = t.group_of_switch(sb);
+  if (ga == gb) {
+    if (sa == sb) return minimal;
+    const auto [base, n] = t.group_switch_range(ga);
+    for (int attempt = 0; attempt < 8; ++attempt) {
+      const int cand = base + static_cast<int>(rng.index(static_cast<std::uint64_t>(n)));
+      if (cand != sa && cand != sb)
+        return {t.injection_link(src), maps.switch_link(sa, cand),
+                maps.switch_link(cand, sb), t.ejection_link(dst)};
+    }
+    return minimal;
+  }
+  int gi = -1;
+  for (int attempt = 0; attempt < 16; ++attempt) {
+    const int cand = static_cast<int>(rng.index(static_cast<std::uint64_t>(t.num_groups())));
+    const int l1 = maps.global_link(ga, cand), l2 = maps.global_link(cand, gb);
+    if (cand != ga && cand != gb && l1 >= 0 && l2 >= 0 && !is_failed(l1) &&
+        !is_failed(l2)) {
+      gi = cand;
+      break;
+    }
+  }
+  if (gi < 0) return minimal;
+  std::vector<int> path{t.injection_link(src)};
+  if (sa != gateway(ga, gi)) path.push_back(maps.switch_link(sa, gateway(ga, gi)));
+  path.push_back(maps.global_link(ga, gi));
+  if (gateway(gi, ga) != gateway(gi, gb))
+    path.push_back(maps.switch_link(gateway(gi, ga), gateway(gi, gb)));
+  path.push_back(maps.global_link(gi, gb));
+  if (gateway(gb, gi) != sb) path.push_back(maps.switch_link(gateway(gb, gi), sb));
+  path.push_back(t.ejection_link(dst));
+  return path;
+}
+
+TEST(DenseRoutingTables, ValiantPathMatchesMapBasedPath) {
+  // A 12-group dragonfly with uneven bundle widths; failed bundles (below)
+  // make the intermediate-group search take its reject branches too.
+  auto topo = topo::Topology::dragonfly(
+      std::vector<topo::GroupSpec>(12, {6, 4}),
+      [](int g, int h) { return 1 + (g + h) % 3; }, 25e9, 180e-9);
+  const MapLookups maps(topo);
+  const auto snap = net::make_snapshot(std::move(topo));
+  const auto& t = snap->topology();
+  // Table identity over every switch pair and group pair.
+  for (int u = 0; u < t.num_switches(); ++u)
+    for (int v = 0; v < t.num_switches(); ++v)
+      ASSERT_EQ(t.switch_link(u, v), maps.switch_link(u, v)) << u << "->" << v;
+  for (int g = 0; g < t.num_groups(); ++g)
+    for (int h = 0; h < t.num_groups(); ++h)
+      ASSERT_EQ(t.global_link(g, h), maps.global_link(g, h)) << g << "->" << h;
+
+  // Some failed global bundles exercise the failure-avoiding group search.
+  std::vector<char> failed(snap->num_links(), 0);
+  for (int g = 0; g < t.num_groups(); ++g)
+    for (int h = 0; h < t.num_groups(); ++h)
+      if (g != h && (g * 7 + h) % 4 == 0)
+        failed[static_cast<std::size_t>(t.global_link(g, h))] = 1;
+  const int eps = t.num_endpoints();
+  std::vector<int> got;
+  for (const std::vector<char>* view : {static_cast<const std::vector<char>*>(nullptr),
+                                        static_cast<const std::vector<char>*>(&failed)}) {
+    sim::Rng pick(31), rng_a(0x5A17u), rng_b(0x5A17u);
+    for (int trial = 0; trial < 4000; ++trial) {
+      const int a = static_cast<int>(pick.index(static_cast<std::uint64_t>(eps)));
+      const int b = static_cast<int>(pick.index(static_cast<std::uint64_t>(eps)));
+      if (a == b) continue;
+      snap->valiant_path_into(a, b, rng_a, view, got);
+      ASSERT_EQ(got, valiant_reference(*snap, maps, a, b, rng_b, view))
+          << "src=" << a << " dst=" << b;
+    }
+    // Both sides consumed the same draws.
+    EXPECT_EQ(rng_a.index(1u << 30), rng_b.index(1u << 30));
+  }
+}
+
+TEST(DenseRoutingTables, FatTreeAndRotorTablesMatchMaps) {
+  for (auto t : {topo::Topology::oversubscribed_fat_tree(9, 4, 2.0, 25e9, 180e-9),
+                 topo::Topology::rotor(7, 2, 4, 250e-6, 0.9, 25e9, 180e-9)}) {
+    const MapLookups maps(t);
+    for (int u = -1; u <= t.num_switches(); ++u)
+      for (int v = -1; v <= t.num_switches(); ++v)
+        ASSERT_EQ(t.switch_link(u, v), maps.switch_link(u, v)) << u << "->" << v;
+    for (int g = -1; g <= t.num_groups(); ++g)
+      for (int h = -1; h <= t.num_groups(); ++h)
+        ASSERT_EQ(t.global_link(g, h), maps.global_link(g, h)) << g << "->" << h;
+  }
+}
 
 }  // namespace

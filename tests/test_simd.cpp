@@ -13,10 +13,14 @@
 #include <limits>
 #include <vector>
 
+#include "net/fabric.hpp"
+#include "net/flowsim.hpp"
 #include "net/simd.hpp"
 #include "net/solver.hpp"
 #include "sim/parallel.hpp"
+#include "sim/engine.hpp"
 #include "sim/rng.hpp"
+#include "topo/topology.hpp"
 
 namespace {
 
@@ -234,16 +238,42 @@ TEST(SimdSolver, ZeroWeightFlowsMatchReference) {
   }
 }
 
-// Randomized differential with the parallel gates forced open on a small
-// problem: every iteration takes the chunked parallel scan and the batched
-// update path, on worker threads, under both kernels — and must still match
-// the default-tuning serial solve bit for bit.
+// The parallel gates live on in FlowSim's warm whole-set solve (the CSR
+// core is serial). Randomized churn with the gates forced
+// open on a small problem: every warm iteration takes the chunked parallel
+// scan and the batched update path, on worker threads, under both kernels
+// — and the trajectory (every live rate after every start, every
+// completion instant) must match the default-tuning serial run bit for bit.
+struct WarmTrajectory {
+  std::vector<double> rates;        // live rates after the last start
+  std::vector<double> completions;  // completion instants, in order
+  net::FlowSim::Stats stats;
+};
+
+WarmTrajectory warm_churn(const std::vector<std::vector<int>>& paths,
+                          const std::vector<double>& bytes) {
+  sim::Engine eng;
+  net::Fabric fabric(topo::Topology::uniform_dragonfly(4, {4, 4}, 1, 25e9, 180e-9),
+                     net::FabricConfig{});
+  net::FlowSimConfig cfg;
+  cfg.fallback_fraction = 0.0;  // every resolve is a whole-set warm solve
+  net::FlowSim fs(eng, fabric, cfg);
+  WarmTrajectory out;
+  for (std::size_t f = 0; f < paths.size(); ++f)
+    fs.start_on_path(paths[f], bytes[f],
+                     [&] { out.completions.push_back(eng.now()); });
+  fs.for_each_flow([&](std::uint64_t, const std::vector<int>&, double,
+                       double rate) { out.rates.push_back(rate); });
+  eng.run();
+  out.stats = fs.stats();
+  return out;
+}
+
 TEST(SimdSolver, ForcedParallelGatesMatchSerial) {
   sim::Rng rng(0xABCDu);
   const std::size_t num_links = 96;
-  std::vector<double> caps(num_links);
-  for (auto& c : caps) c = rng.uniform(1.0, 100.0);
   std::vector<std::vector<int>> paths;
+  std::vector<double> bytes;
   for (int f = 0; f < 400; ++f) {
     std::vector<int> p;
     const int len = 1 + static_cast<int>(rng.index(4));
@@ -254,11 +284,22 @@ TEST(SimdSolver, ForcedParallelGatesMatchSerial) {
       if (!dup) p.push_back(l);
     }
     paths.push_back(std::move(p));
+    bytes.push_back(rng.uniform(1e6, 1e8));
   }
 
-  net::SolveStats base_stats{};
-  const auto baseline = net::max_min_rates(caps, paths, nullptr, &base_stats);
-  EXPECT_EQ(base_stats.parallel_scans, 0);  // default gates stay closed here
+  const WarmTrajectory baseline = warm_churn(paths, bytes);
+  EXPECT_EQ(baseline.stats.parallel_scans, 0u);  // default gates stay closed
+  EXPECT_GT(baseline.stats.warm_solves, 100u);
+  ASSERT_EQ(baseline.completions.size(), paths.size());
+  // The live rates after the last start are the max-min solution.
+  const auto oracle = net::max_min_rates_reference(
+      net::Fabric(topo::Topology::uniform_dragonfly(4, {4, 4}, 1, 25e9, 180e-9),
+                  net::FabricConfig{})
+          .effective_capacities(),
+      paths);
+  ASSERT_EQ(oracle.size(), baseline.rates.size());
+  for (std::size_t i = 0; i < oracle.size(); ++i)
+    EXPECT_EQ(baseline.rates[i], oracle[i]) << "flow " << i;
 
   const int prev_threads = sim::thread_count();
   for (const int threads : {1, 2, 8}) {
@@ -269,15 +310,12 @@ TEST(SimdSolver, ForcedParallelGatesMatchSerial) {
       ScopedTuning st({.parallel_scan_threshold = 8,
                        .scan_grain = 16,
                        .parallel_update_min = 4});
-      net::SolveStats stats{};
-      const auto got = net::max_min_rates(caps, paths, nullptr, &stats);
-      ASSERT_EQ(got.size(), baseline.size());
-      for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_EQ(got[i], baseline[i])
-            << "flow " << i << ", threads " << threads;
-      EXPECT_EQ(stats.iterations, base_stats.iterations);
-      EXPECT_EQ(stats.bottleneck_links, base_stats.bottleneck_links);
-      EXPECT_GT(stats.parallel_scans, 0);  // the gate really opened
+      const WarmTrajectory got = warm_churn(paths, bytes);
+      EXPECT_EQ(got.rates, baseline.rates) << "threads " << threads;
+      EXPECT_EQ(got.completions, baseline.completions) << "threads " << threads;
+      EXPECT_EQ(got.stats.solver_iterations, baseline.stats.solver_iterations);
+      EXPECT_EQ(got.stats.bottleneck_links, baseline.stats.bottleneck_links);
+      EXPECT_GT(got.stats.parallel_scans, 0u);  // the gate really opened
     }
   }
   sim::set_thread_count(prev_threads);
