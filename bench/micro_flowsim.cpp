@@ -445,6 +445,11 @@ void BM_FlowChurn(benchmark::State& state, Pattern p, bool incremental,
           : 0.0;
   state.counters["rc_hit%"] = rc.hit_pct();
   state.counters["topo_build_ms"] = topo_ms;
+  // Completion-index work per completed flow: exact horizon and drain
+  // predicates evaluated (FlowSim::Stats::horizon_visits). Deterministic;
+  // flat in n where the full-slot scans it replaced grew linearly.
+  state.counters["horizon_visits/op"] =
+      static_cast<double>(last.horizon_visits) / static_cast<double>(target);
   if (is_rotor) {
     // Slot-boundary cost (ISSUE 9): how many transitions the run needed and
     // how many warm-memo generations they invalidated. check_bench.py gates

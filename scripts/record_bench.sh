@@ -93,6 +93,7 @@ for name in ("micro_flowsim", "micro_simcore", "micro_serve"):
                   "warm_memo%", "memo_stale", "epochs_max", "reroutes",
                   "slot_transitions",
                   "writeback%", "rc_hit%", "topo_build_ms",
+                  "horizon_visits/op",
                   "link_updates/solve", "iterations/solve"):
             if k in b:
                 entry[k] = round(b[k], 6)

@@ -4,12 +4,21 @@
 # Run after an intentional model change, then review the golden diff like any
 # other code change. Benches run in --quick mode with XSCALE_THREADS=1 —
 # outputs are thread-count invariant by construction (see DESIGN.md §7), so
-# one thread is the canonical recording configuration.
+# one thread is the canonical recording configuration. With --full they run
+# at full scale (no --quick) into tests/golden/full/, the goldens behind
+# `ctest -L full`; prefer a Release build there (~15 s in total).
 #
-# Usage: scripts/update_goldens.sh [build-dir]   (default: build)
+# Usage: scripts/update_goldens.sh [--full] [build-dir]   (default: build)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+OUT=tests/golden
+ARGS=(--quick)
+if [[ "${1:-}" == "--full" ]]; then
+  OUT=tests/golden/full
+  ARGS=()
+  shift
+fi
 BUILD="${1:-build}"
 
 BENCHES=(
@@ -22,10 +31,10 @@ BENCHES=(
 
 cmake --build "$BUILD" -j --target golden_check "${BENCHES[@]}"
 
-mkdir -p tests/golden
+mkdir -p "$OUT"
 for b in "${BENCHES[@]}"; do
   echo "recording $b..."
   XSCALE_THREADS=1 "$BUILD/tests/golden_check" "$BUILD/bench/$b" \
-    "tests/golden/$b.golden" --update -- --quick
+    "$OUT/$b.golden" --update -- ${ARGS[@]+"${ARGS[@]}"}
 done
-echo "done: $(ls tests/golden | wc -l) golden files"
+echo "done: $(ls "$OUT"/*.golden | wc -l) golden files in $OUT"

@@ -14,6 +14,47 @@
 
 namespace xscale::net {
 
+namespace {
+
+// Relative slack of the completion index's rounding windows (DESIGN.md §9).
+// The error bounds it must cover are at most ~8 units in the last place
+// (8 * 2^-53); 2^-44 leaves a 64x margin and still admits only candidates
+// within ~6e-14 relative of the true minimum.
+constexpr double kIndexSlack = 0x1p-44;
+// Every flow's drain-eligible instant precedes its finish instant by its
+// drain tolerance over its rate, at least 1e-6 s; the horizon window uses
+// all but 2^-20 of that gap (DESIGN.md §9).
+constexpr double kDrainGapFloor = 1e-6 * (1.0 - 0x1p-20);
+
+// The rate-only part of a drain key, hoisted when many flows share a rate.
+struct DrainLaw {
+  explicit DrainLaw(double rate)
+      : tol(1e-6 * std::max(1.0, rate)), inv(1.0 / rate), gap(tol * inv) {}
+  double tol;  // the completion handler's drain tolerance, bytes
+  double inv;
+  double gap;  // tol / rate: drain-eligible instant to finish instant
+};
+
+double drain_key(double remaining, double accrued_at, const DrainLaw& law) {
+  // A lower bound on the first instant t at which the completion handler's
+  // drain predicate  remaining - rate*(t - accrued_at) <= tol  can hold:
+  // accrued_at + (remaining - tol)/rate, lowered by a slack that covers its
+  // own rounding and the predicate's (DESIGN.md §9). NaN (0*inf from a
+  // subnormal rate) becomes -inf: such a flow is simply always a candidate.
+  const double x = (remaining - law.tol) * law.inv;
+  const double key = (accrued_at + x) -
+                     kIndexSlack * ((accrued_at + std::abs(x)) + law.gap);
+  return key == key ? key : -std::numeric_limits<double>::infinity();
+}
+
+void check_bytes(double bytes) {
+  // A NaN would also poison the completion index's key order.
+  if (!std::isfinite(bytes))
+    throw std::invalid_argument("FlowSim: flow bytes must be finite");
+}
+
+}  // namespace
+
 void FlowSim::ensure_sized() {
   const std::size_t n = fabric_.topology().links().size();
   if (link_load_.size() == n) return;
@@ -54,6 +95,15 @@ void FlowSim::clear_dirty() {
 }
 
 std::uint64_t FlowSim::start(int src, int dst, double bytes, Done on_done) {
+  // Every check runs before the arena, the RNG or the load proxy moves, so a
+  // rejected call leaves the simulator exactly as it was.
+  check_bytes(bytes);
+  const int n = fabric_.topology().num_endpoints();
+  for (const int ep : {src, dst})
+    if (ep < 0 || ep >= n)
+      throw std::out_of_range("FlowSim::start: endpoint id " +
+                              std::to_string(ep) + " out of range [0, " +
+                              std::to_string(n) + ")");
   ensure_sized();
   const int slot = alloc_slot();
   // Route straight into the slot's reusable path buffer. Floor its capacity
@@ -62,13 +112,28 @@ std::uint64_t FlowSim::start(int src, int dst, double bytes, Done on_done) {
   // after one warm pass over the arena, routing touches no allocator.
   auto& path = slots_[static_cast<std::size_t>(slot)].path;
   if (path.capacity() < 8) path.reserve(8);
-  fabric_.route_into(src, dst, rng_, &link_load_, path);
+  try {
+    fabric_.route_into(src, dst, rng_, &link_load_, path);
+  } catch (...) {
+    // No live route (disconnected groups): hand the slot back.
+    path.clear();
+    free_slots_.push_back(slot);
+    throw;
+  }
   return start_slot(slot, bytes, std::move(on_done));
 }
 
 std::uint64_t FlowSim::start_on_path(std::vector<int> path, double bytes,
                                      Done on_done) {
-  assert(!path.empty());
+  check_bytes(bytes);
+  if (path.empty())
+    throw std::invalid_argument("FlowSim::start_on_path: empty path");
+  const auto n = static_cast<int>(fabric_.topology().links().size());
+  for (int l : path)
+    if (l < 0 || l >= n)
+      throw std::out_of_range("FlowSim::start_on_path: link id " +
+                              std::to_string(l) + " out of range [0, " +
+                              std::to_string(n) + ")");
   ensure_sized();
   const int slot = alloc_slot();
   slots_[static_cast<std::size_t>(slot)].path = std::move(path);
@@ -114,6 +179,11 @@ std::uint64_t FlowSim::start_slot(int slot, double bytes, Done on_done) {
   f.stalled = false;
   f.visit_epoch = 0;
   f.on_done = std::move(on_done);
+  assert(f.hz_pos < 0);  // rate 0: not indexed until a solve applies a rate
+  // A same-instant joiner under a parked uniform rate drains at that rate
+  // from now on, like every other member.
+  if (pending_uniform_)
+    pending_min_rem_ = std::min(pending_min_rem_, remaining_at(f, eng_.now()));
   ++active_count_;
   active_order_.push_back(slot);  // ids are monotonic: append keeps id order
   delta_has_add_ = true;
@@ -178,12 +248,136 @@ void FlowSim::remove_flow(int slot) {
     f.stalled = false;
     --stalled_;
   }
+  assert(!pending_uniform_);  // removals follow a materialisation
+  if (f.hz_pos >= 0) hz_erase(slot);
   f.id = 0;
   f.rate = 0.0;
   f.on_done = nullptr;
   f.path.clear();  // keep capacity for slot reuse
   free_slots_.push_back(slot);
   --active_count_;
+}
+
+void FlowSim::hz_place(std::size_t i, double key, int slot) {
+  hz_[i] = {key, slot};
+  slots_[static_cast<std::size_t>(slot)].hz_pos = static_cast<int>(i);
+}
+
+// Both sifts expect hz_[i] to be placed already (back-pointer current), so
+// an entry that does not move costs no write.
+void FlowSim::hz_sift_up(std::size_t i) {
+  const HzEntry e = hz_[i];
+  const std::size_t from = i;
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!(e.key < hz_[parent].key)) break;
+    hz_place(i, hz_[parent].key, hz_[parent].slot);
+    i = parent;
+  }
+  if (i != from) hz_place(i, e.key, e.slot);
+}
+
+void FlowSim::hz_sift_down(std::size_t i) {
+  const HzEntry e = hz_[i];
+  const std::size_t from = i;
+  const std::size_t n = hz_.size();
+  for (;;) {
+    std::size_t c = 2 * i + 1;
+    if (c >= n) break;
+    if (c + 1 < n && hz_[c + 1].key < hz_[c].key) ++c;
+    if (!(hz_[c].key < e.key)) break;
+    hz_place(i, hz_[c].key, hz_[c].slot);
+    i = c;
+  }
+  if (i != from) hz_place(i, e.key, e.slot);
+}
+
+void FlowSim::hz_rekey(int slot) {
+  Flow& f = slots_[static_cast<std::size_t>(slot)];
+  if (!(f.rate > 0.0)) {
+    if (f.hz_pos >= 0) hz_erase(slot);
+    return;
+  }
+  const double key = drain_key(f.remaining, f.accrued_at, DrainLaw(f.rate));
+  if (f.hz_pos < 0) {
+    hz_.push_back({key, slot});
+    f.hz_pos = static_cast<int>(hz_.size() - 1);
+    hz_sift_up(hz_.size() - 1);
+    return;
+  }
+  const auto i = static_cast<std::size_t>(f.hz_pos);
+  const double old = hz_[i].key;
+  hz_[i].key = key;
+  if (key < old) hz_sift_up(i);
+  else hz_sift_down(i);
+}
+
+void FlowSim::hz_erase(int slot) {
+  Flow& f = slots_[static_cast<std::size_t>(slot)];
+  const auto i = static_cast<std::size_t>(f.hz_pos);
+  f.hz_pos = -1;
+  const HzEntry last = hz_.back();
+  hz_.pop_back();
+  if (i == hz_.size()) return;
+  const double old = hz_[i].key;
+  hz_place(i, last.key, last.slot);
+  if (last.key < old) hz_sift_up(i);
+  else hz_sift_down(i);
+}
+
+double FlowSim::next_completion() {
+  // Candidate walk over the heap (DESIGN.md §9): a subtree whose root key
+  // exceeds `bound` holds no flow that can beat the best exact horizon seen
+  // so far, because every key sits at least the drain gap (>= 1e-6 s) below
+  // its flow's finish instant and `bound` gives back all of that gap but
+  // 2^-20 of it, plus a relative slack past every rounding error involved.
+  // Each candidate is evaluated with the exact expression a scan over every
+  // flow would use, so the minimum is the scan's value.
+  const double now = eng_.now();
+  double best = std::numeric_limits<double>::infinity();
+  double bound = best;
+  hz_stack_.clear();
+  if (!hz_.empty()) hz_stack_.push_back(0);
+  while (!hz_stack_.empty()) {
+    const std::size_t i = hz_stack_.back();
+    hz_stack_.pop_back();
+    if (hz_[i].key > bound) continue;
+    const Flow& f = slots_[static_cast<std::size_t>(hz_[i].slot)];
+    ++stats_.horizon_visits;
+    const double h = remaining_at(f, now) / f.rate;
+    if (h < best) {
+      best = h;
+      bound = (now + h) + (kIndexSlack * (now + std::abs(h)) - kDrainGapFloor);
+    }
+    for (std::size_t c = 2 * i + 1; c <= 2 * i + 2 && c < hz_.size(); ++c)
+      if (hz_[c].key <= bound) hz_stack_.push_back(c);
+  }
+  return best;
+}
+
+void FlowSim::collect_drained(double t) {
+  // Every flow whose drain predicate holds at `t` has a key at or below
+  // t + slack*t (DESIGN.md §9); re-test the exact predicate on exactly those.
+  const double cutoff = t + kIndexSlack * t;
+  done_slots_.clear();
+  hz_stack_.clear();
+  if (!hz_.empty()) hz_stack_.push_back(0);
+  while (!hz_stack_.empty()) {
+    const std::size_t i = hz_stack_.back();
+    hz_stack_.pop_back();
+    if (hz_[i].key > cutoff) continue;
+    const int s = hz_[i].slot;
+    const Flow& f = slots_[static_cast<std::size_t>(s)];
+    ++stats_.horizon_visits;
+    if (remaining_at(f, t) <= 1e-6 * std::max(1.0, f.rate))
+      done_slots_.push_back(s);
+    for (std::size_t c = 2 * i + 1; c <= 2 * i + 2 && c < hz_.size(); ++c)
+      hz_stack_.push_back(c);
+  }
+  std::sort(done_slots_.begin(), done_slots_.end(), [this](int a, int b) {
+    return slots_[static_cast<std::size_t>(a)].id <
+           slots_[static_cast<std::size_t>(b)].id;
+  });
 }
 
 void FlowSim::accrue(Flow& f) {
@@ -193,7 +387,9 @@ void FlowSim::accrue(Flow& f) {
   f.accrued_at = now;
 }
 
-void FlowSim::set_rate(std::uint64_t id, Flow& f, double rate) {
+void FlowSim::set_rate(int slot, double rate) {
+  Flow& f = slots_[static_cast<std::size_t>(slot)];
+  const std::uint64_t id = f.id;
   // No 1 B/s floor: a zero rate means every byte is stuck behind a failed
   // link, and pretending otherwise hides the failure (satellite fix — the
   // old floor made such flows "complete" after simulated centuries).
@@ -223,6 +419,8 @@ void FlowSim::set_rate(std::uint64_t id, Flow& f, double rate) {
                           {{"flow", static_cast<double>(id)}, {"rate", rate}});
   }
   f.rate = rate;
+  assert(!pending_uniform_);  // rate writes follow a materialisation
+  hz_rekey(slot);
 }
 
 void FlowSim::affected_component(double max_flows) {
@@ -358,14 +556,14 @@ void FlowSim::solve_component(const std::vector<int>& comp, SolveStats* ss) {
   // against.
   std::uint64_t applied = 0;
   for (std::size_t i = 0; i < comp.size(); ++i) {
-    Flow& f = slots_[static_cast<std::size_t>(comp[i])];
+    const Flow& f = slots_[static_cast<std::size_t>(comp[i])];
     const double r = comp_rates_[i];
     const bool noop = r == f.rate && (r > 0.0 || f.stalled);
     if (!noop) {
-      set_rate(f.id, f, r);
+      set_rate(comp[i], r);
       ++applied;
     } else if (!cfg_.incremental_writeback) {
-      set_rate(f.id, f, r);
+      set_rate(comp[i], r);
     }
   }
   note_writeback(applied, static_cast<std::uint64_t>(comp.size()) - applied);
@@ -418,14 +616,14 @@ bool FlowSim::warm_memo_lookup() {
     if (!match) continue;
     std::uint64_t applied = 0;
     for (std::size_t i = 0; i < members; ++i) {
-      Flow& f = slots_[static_cast<std::size_t>(active_order_[i])];
+      const Flow& f = slots_[static_cast<std::size_t>(active_order_[i])];
       const double r = m.rates[i];
       const bool noop = r == f.rate && (r > 0.0 || f.stalled);
       if (!noop) {
-        set_rate(f.id, f, r);
+        set_rate(active_order_[i], r);
         ++applied;
       } else if (!cfg_.incremental_writeback) {
-        set_rate(f.id, f, r);
+        set_rate(active_order_[i], r);
       }
     }
     note_writeback(applied, static_cast<std::uint64_t>(members) - applied);
@@ -471,7 +669,12 @@ void FlowSim::materialize_pending() {
   pending_uniform_ = false;
   const double tp = pending_time_;
   const double v = pending_rate_;
+  // Every flow rewritten here ends at rate v: write the new keys in place
+  // and rebuild the index once, O(active) like the loop itself, instead of
+  // one sift per flow (an incast re-anchors every member per completion).
+  const DrainLaw law(v);
   std::uint64_t applied = 0;
+  bool rekeyed = false;
   for (int s : active_order_) {
     Flow& f = slots_[static_cast<std::size_t>(s)];
     if (pending_mixed_ || v != f.rate) {
@@ -482,10 +685,43 @@ void FlowSim::materialize_pending() {
         f.rate = v;
         ++applied;
       }
+      const double key = drain_key(f.remaining, tp, law);
+      if (f.hz_pos < 0) {
+        f.hz_pos = static_cast<int>(hz_.size());
+        hz_.push_back({key, s});
+      } else {
+        hz_[static_cast<std::size_t>(f.hz_pos)].key = key;
+      }
+      rekeyed = true;
     }
   }
+  if (rekeyed)
+    for (std::size_t i = hz_.size() / 2; i-- > 0;) hz_sift_down(i);
   note_writeback(applied,
                  static_cast<std::uint64_t>(active_order_.size()) - applied);
+}
+
+void FlowSim::park_uniform(double rate) {
+  if (pending_uniform_ && eng_.now() != pending_time_) materialize_pending();
+  if (!pending_uniform_) {
+    pending_uniform_ = true;
+    pending_time_ = eng_.now();
+    pending_first_ = rate;
+    pending_mixed_ = false;
+    // From here every member drains at the parked rate, so completion order
+    // is remaining-bytes order: one pass finds the smallest, and only
+    // same-instant joiners can lower it before the next materialisation.
+    // The pass costs no more than the materialisation that retires it.
+    pending_min_rem_ = std::numeric_limits<double>::infinity();
+    for (int s : active_order_)
+      pending_min_rem_ = std::min(
+          pending_min_rem_,
+          remaining_at(slots_[static_cast<std::size_t>(s)], pending_time_));
+    stats_.horizon_visits += active_order_.size();
+  } else {
+    pending_mixed_ = pending_mixed_ || rate != pending_first_;
+  }
+  pending_rate_ = rate;
 }
 
 int FlowSim::try_single_incremental(SolveStats* ss) {
@@ -623,16 +859,7 @@ int FlowSim::try_single_incremental(SolveStats* ss) {
 
   // Single bottleneck: park the uniform rate; same-instant re-parks coalesce
   // (zero-width segments do no accrual arithmetic in the eager path either).
-  if (pending_uniform_ && eng_.now() != pending_time_) materialize_pending();
-  if (!pending_uniform_) {
-    pending_uniform_ = true;
-    pending_time_ = eng_.now();
-    pending_first_ = m;
-    pending_mixed_ = false;
-  } else {
-    pending_mixed_ = pending_mixed_ || m != pending_first_;
-  }
-  pending_rate_ = m;
+  park_uniform(m);
   if (ss) {
     ss->iterations = 1;
     ss->bottleneck_links = 1;
@@ -730,16 +957,7 @@ bool FlowSim::warm_single_bottleneck(SolveStats* ss) {
   // bookkeeping at *this* instant — those stay eager, as does reference
   // mode (`incremental_writeback = false`, the whole-set write).
   if (cfg_.incremental_writeback && stalled_ == 0 && min_share > 0.0) {
-    if (pending_uniform_ && eng_.now() != pending_time_) materialize_pending();
-    if (!pending_uniform_) {
-      pending_uniform_ = true;
-      pending_time_ = eng_.now();
-      pending_first_ = min_share;
-      pending_mixed_ = false;
-    } else {
-      pending_mixed_ = pending_mixed_ || min_share != pending_first_;
-    }
-    pending_rate_ = min_share;
+    park_uniform(min_share);
     return true;
   }
   // Eager write: settle any parked rate first — the early-out comparison and
@@ -749,13 +967,13 @@ bool FlowSim::warm_single_bottleneck(SolveStats* ss) {
   materialize_pending();
   std::uint64_t applied = 0;
   for (int s : active_order_) {
-    Flow& f = slots_[static_cast<std::size_t>(s)];
+    const Flow& f = slots_[static_cast<std::size_t>(s)];
     const bool noop = min_share == f.rate && (min_share > 0.0 || f.stalled);
     if (!noop) {
-      set_rate(f.id, f, min_share);
+      set_rate(s, min_share);
       ++applied;
     } else if (!cfg_.incremental_writeback) {
-      set_rate(f.id, f, min_share);
+      set_rate(s, min_share);
     }
   }
   note_writeback(applied,
@@ -1068,18 +1286,16 @@ void FlowSim::warm_solve(SolveStats* ss) {
     // Only flows whose rate actually moves reach set_rate; the order is
     // freeze order rather than ascending id, which is immaterial — each
     // write touches one flow's independent state at one instant.
-    for (int s : changed_slots_) {
-      Flow& f = slots_[static_cast<std::size_t>(s)];
-      set_rate(f.id, f, warm_rate_[static_cast<std::size_t>(s)]);
-    }
+    for (int s : changed_slots_)
+      set_rate(s, warm_rate_[static_cast<std::size_t>(s)]);
     note_writeback(changed_slots_.size(), members - changed_slots_.size());
   } else {
     std::uint64_t applied = 0;
     for (int s : active_order_) {
-      Flow& f = slots_[static_cast<std::size_t>(s)];
+      const Flow& f = slots_[static_cast<std::size_t>(s)];
       const double r = warm_rate_[static_cast<std::size_t>(s)];
       if (!(r == f.rate && (r > 0.0 || f.stalled))) ++applied;
-      set_rate(f.id, f, r);
+      set_rate(s, r);
     }
     note_writeback(applied, members - applied);
   }
@@ -1264,21 +1480,18 @@ void FlowSim::resolve_and_schedule() {
     drops.inc(dropped_slots_.size());
   }
 
-  const double now = eng_.now();
-  double next_done = std::numeric_limits<double>::infinity();
+  // Under a parked uniform rate every member's remaining as of now (the
+  // pending instant: each entry point materialises an older one first) is
+  // remaining_at under its own applied law, bitwise what the eager write-back
+  // would hold, and x -> x / pending_rate_ is monotone, so the smallest
+  // remaining gives the exact minimum horizon.
+  double next_done;
   if (pending_uniform_) {
-    // Every active flow's effective rate is the (positive) pending value;
-    // `remaining_eff_at` is bitwise the remaining the eager write-back would
-    // have produced, so the completion horizon is identical.
-    for (int s : active_order_) {
-      const Flow& f = slots_[static_cast<std::size_t>(s)];
-      next_done =
-          std::min(next_done, remaining_eff_at(f, now) / pending_rate_);
-    }
+    assert(pending_time_ == eng_.now());
+    ++stats_.horizon_visits;
+    next_done = pending_min_rem_ / pending_rate_;
   } else {
-    for (const Flow& f : slots_)
-      if (f.id != 0 && f.rate > 0.0)
-        next_done = std::min(next_done, remaining_at(f, now) / f.rate);
+    next_done = next_completion();
   }
 
   // Summary upkeep: a resolve that neither merged nor rebuilt the top-2
@@ -1296,17 +1509,7 @@ void FlowSim::resolve_and_schedule() {
       materialize_pending();
       const double t = eng_.now();
       // Complete every flow that has drained (ties finish together).
-      done_slots_.clear();
-      for (std::size_t s = 0; s < slots_.size(); ++s) {
-        const Flow& f = slots_[s];
-        if (f.id == 0 || f.rate <= 0.0) continue;
-        if (remaining_at(f, t) <= 1e-6 * std::max(1.0, f.rate))
-          done_slots_.push_back(static_cast<int>(s));
-      }
-      std::sort(done_slots_.begin(), done_slots_.end(), [this](int a, int b) {
-        return slots_[static_cast<std::size_t>(a)].id <
-               slots_[static_cast<std::size_t>(b)].id;
-      });
+      collect_drained(t);
       done_callbacks_.clear();
       static obs::Counter& completed =
           obs::metrics().counter("net.flows_completed");
@@ -1343,10 +1546,16 @@ void FlowSim::resolve_and_schedule() {
 void FlowSim::for_each_flow(
     const std::function<void(std::uint64_t, const std::vector<int>&, double,
                              double)>& fn) const {
-  const double now = eng_.now();
+  for_each_flow_at(eng_.now(), fn);
+}
+
+void FlowSim::for_each_flow_at(
+    double t,
+    const std::function<void(std::uint64_t, const std::vector<int>&, double,
+                             double)>& fn) const {
   for (int s : active_order_) {
     const Flow& f = slots_[static_cast<std::size_t>(s)];
-    fn(f.id, f.path, remaining_eff_at(f, now),
+    fn(f.id, f.path, remaining_eff_at(f, t),
        pending_uniform_ ? pending_rate_ : f.rate);
   }
 }

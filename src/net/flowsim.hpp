@@ -25,6 +25,19 @@
 // (rates for untouched components are bitwise unchanged, so skipping them is
 // exact, and incremental and full modes accrue on identical schedules —
 // which keeps their completion times bit-for-bit equal).
+//
+// Completion times come from an indexed min-heap over the flows with a
+// positive applied rate, keyed by a conservative lower bound on the instant
+// each flow's drain predicate can first hold (DESIGN.md §5, §9). A flow is
+// re-keyed only where its rate or accrual state is written (set_rate, the
+// parked-uniform materialisation, start/removal), so a resolve costs
+// O(changed · log n). The next completion is the minimum of the exact
+// `remaining/rate` over the candidates inside a proven rounding window of
+// the heap minimum, and the completion handler re-tests the exact drain
+// predicate on the candidates at or before the event time: both are the
+// values a scan over every flow would produce, bit for bit. Under a parked
+// uniform rate every member drains at one shared rate, so the horizon is the
+// smallest remaining byte count over that rate, tracked as one scalar.
 #pragma once
 
 #include <cstdint>
@@ -78,11 +91,15 @@ class FlowSim {
   // Start a flow of `bytes` from endpoint `src` to `dst`; `on_done` fires at
   // the simulated completion time (transfer time only; callers add software
   // overheads and propagation latency). Routes directly into the slot's
-  // reusable path buffer (allocation-free on minimal routing).
+  // reusable path buffer (allocation-free on minimal routing). Endpoint ids
+  // outside [0, num_endpoints) throw std::out_of_range and non-finite
+  // `bytes` throws std::invalid_argument, both before any state changes.
   std::uint64_t start(int src, int dst, double bytes, Done on_done);
 
   // Start a flow along an explicit path (e.g. storage traffic to OST
-  // endpoints with custom capacities).
+  // endpoints with custom capacities). An empty path or non-finite `bytes`
+  // throws std::invalid_argument and a link id outside [0, links) throws
+  // std::out_of_range, both before any state changes.
   std::uint64_t start_on_path(std::vector<int> path, double bytes, Done on_done);
 
   std::size_t active_flows() const { return active_count_; }
@@ -137,6 +154,11 @@ class FlowSim {
     // full O(live links) scan (summary invalid or inconclusive).
     std::uint64_t minshare_incr = 0;
     std::uint64_t minshare_full = 0;
+    // Flows whose exact completion horizon or drain predicate was evaluated
+    // (completion-index candidates, plus one pass over the members whenever
+    // a uniform rate is first parked). Deterministic and, away from parked
+    // uniform rates, independent of the active count.
+    std::uint64_t horizon_visits = 0;
   };
   const Stats& stats() const { return stats_; }
   const FlowSimConfig& config() const { return cfg_; }
@@ -147,6 +169,17 @@ class FlowSim {
   void for_each_flow(
       const std::function<void(std::uint64_t id, const std::vector<int>& path,
                                double remaining, double rate)>& fn) const;
+  // Same, with `remaining` projected to time `t` >= now under the current
+  // rates: bitwise the value the completion handler evaluates at `t` unless
+  // a resolve intervenes (the horizon oracle test rebuilds drained sets
+  // from it).
+  void for_each_flow_at(
+      double t,
+      const std::function<void(std::uint64_t id, const std::vector<int>& path,
+                               double remaining, double rate)>& fn) const;
+  // Diagnostic: arena slots ever allocated (active + free). A start its
+  // argument checks reject leaves it unchanged.
+  std::size_t arena_slots() const { return slots_.size(); }
 
  private:
   // One arena slot. id == 0 marks a free slot; `path` and `on_done` keep
@@ -159,6 +192,7 @@ class FlowSim {
     double start_time = 0;   // obs: span begin for the flow's lifetime
     double total_bytes = 0;  // obs: recorded on the completion span
     bool stalled = false;
+    int hz_pos = -1;                // position in the completion index, or -1
     std::uint64_t visit_epoch = 0;  // BFS stamp for component discovery
     std::vector<int> path;
     Done on_done;
@@ -175,9 +209,25 @@ class FlowSim {
     return f.remaining - f.rate * (t - f.accrued_at);
   }
   void accrue(Flow& f);
+  // Completion index upkeep: after any write of a flow's rate, `remaining`
+  // or `accrued_at`, re-key it (rate > 0) or take it out (rate == 0).
+  // materialize_pending re-keys its flows in bulk instead.
+  void hz_rekey(int slot);
+  void hz_erase(int slot);
+  void hz_place(std::size_t i, double key, int slot);
+  void hz_sift_up(std::size_t i);
+  void hz_sift_down(std::size_t i);
+  // Exact min over indexed flows of remaining_at(f, now) / f.rate, +inf
+  // when none; evaluates only the candidates inside the proven window.
+  double next_completion();
+  // done_slots_ := indexed flows whose drain predicate holds at `t`, in
+  // ascending id order.
+  void collect_drained(double t);
+  // Park `rate` as the lazily applied uniform rate of every active flow.
+  void park_uniform(double rate);
   void insert_flow_links(int slot, const Flow& f);
   void remove_flow(int slot);  // unlinks + frees the slot; marks links dirty
-  void set_rate(std::uint64_t id, Flow& f, double rate);
+  void set_rate(int slot, double rate);
   // Fills `comp_slots_` with the slots of every flow reachable from the
   // dirty links via shared-link adjacency, ascending flow-id order. When
   // `max_flows` >= 0 the BFS stops (and skips the sort — `comp_truncated_`
@@ -308,6 +358,21 @@ class FlowSim {
   double pending_time_ = 0.0;
   double pending_first_ = 0.0;
   bool pending_mixed_ = false;
+  // Smallest remaining_at(f, pending_time_) over the members while a
+  // uniform rate is parked: every member then drains at pending_rate_, so
+  // the horizon is pending_min_rem_ / pending_rate_. Set when the rate is
+  // first parked, lowered by same-instant joiners; nothing else can move it
+  // (removals and rate writes materialise the pending rate first).
+  double pending_min_rem_ = 0.0;
+  // --- completion index (DESIGN.md §5, §9) ------------------------------
+  // Binary min-heap over the active flows with rate > 0; Flow::hz_pos is
+  // the back-pointer. hz_stack_ is the candidate-walk scratch.
+  struct HzEntry {
+    double key;
+    int slot;
+  };
+  std::vector<HzEntry> hz_;
+  std::vector<std::size_t> hz_stack_;
   // Per-link min-share summary: exact top-2 of max(0,c)/crossers over live
   // links, maintained across resolves so the single-bottleneck verification
   // touches only dirty links. Invalidated whenever a resolve ends without

@@ -4,14 +4,19 @@
 // cancel-heavy reschedule pattern.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "machines/machine.hpp"
 #include "net/fabric.hpp"
 #include "net/flowsim.hpp"
 #include "net/rotor.hpp"
@@ -798,6 +803,401 @@ TEST(FlowSimWriteback, StallRestoreDropChurnBitwiseAcrossModes) {
               ref_stats.flows_solved);
     EXPECT_LE(inc_stats.writeback_applied, ref_stats.writeback_applied);
   }
+}
+
+// ------------------------------------------------------ completion index ---
+
+// Brute-force horizon oracle: after every state change the next completion
+// must fire at exactly now + max(min remaining/rate, 0) over the active
+// flows, and complete exactly the flows whose drain predicate holds at that
+// instant, in ascending id order. Both are rebuilt from `for_each_flow` /
+// `for_each_flow_at`, i.e. from scratch over every flow, independent of the
+// completion index.
+class HorizonOracle {
+ public:
+  HorizonOracle(sim::Engine& eng, net::FlowSim& fs) : eng_(eng), fs_(fs) {}
+
+  // Call after every start, capacity change or fail/restore.
+  void observe() {
+    const double now = eng_.now();
+    double h = std::numeric_limits<double>::infinity();
+    fs_.for_each_flow([&](std::uint64_t, const std::vector<int>&, double rem,
+                          double rate) {
+      if (rate > 0.0) h = std::min(h, rem / rate);
+    });
+    expect_ids_.clear();
+    has_expect_ = std::isfinite(h);
+    if (!has_expect_) return;
+    expect_t_ = now + std::max(h, 0.0);
+    fs_.for_each_flow_at(expect_t_, [&](std::uint64_t id,
+                                        const std::vector<int>&, double rem,
+                                        double rate) {
+      if (rate > 0.0 && rem <= 1e-6 * std::max(1.0, rate))
+        expect_ids_.push_back(id);
+    });
+  }
+
+  // Call first thing in every completion callback.
+  void on_done(std::uint64_t id) {
+    if (eng_.events_executed() != event_) {
+      finish_event();
+      event_ = eng_.events_executed();
+      ASSERT_TRUE(has_expect_) << "completion fired with no finite horizon";
+      EXPECT_EQ(eng_.now(), expect_t_) << "completion event " << events_;
+      event_ids_ = expect_ids_;
+      got_ids_.clear();
+      ++events_;
+      observe();  // the handler's own resolve ran before its callbacks
+    }
+    got_ids_.push_back(id);
+  }
+
+  // Call after the run: checks the last event's completed set.
+  void finish_event() {
+    if (events_ == 0) return;
+    EXPECT_EQ(got_ids_, event_ids_) << "completion event " << events_;
+    max_batch_ = std::max(max_batch_, got_ids_.size());
+    got_ids_.clear();
+    event_ids_.clear();
+  }
+
+  int events() const { return events_; }
+  std::size_t max_batch() const { return max_batch_; }
+
+ private:
+  sim::Engine& eng_;
+  net::FlowSim& fs_;
+  bool has_expect_ = false;
+  double expect_t_ = 0.0;
+  std::vector<std::uint64_t> expect_ids_, event_ids_, got_ids_;
+  std::uint64_t event_ = std::numeric_limits<std::uint64_t>::max();
+  int events_ = 0;
+  std::size_t max_batch_ = 0;
+};
+
+// Rotor slot rotation driven from the test, so each transition's resolve
+// is observed (RotorSchedule's own events would resolve unobserved).
+void rotate_rotor(sim::Engine& eng, net::Fabric& fabric, net::FlowSim& fs,
+                  HorizonOracle& oracle, int slot) {
+  const auto& t = fabric.topology();
+  std::vector<std::pair<int, double>> batch;
+  std::vector<int> links;
+  for (int m = 0; m < t.rotor_matchings(); ++m)
+    for (int l : t.rotor_matching_links(m)) {
+      batch.emplace_back(l, m == slot ? t.rotor_active_capacity() : 0.0);
+      links.push_back(l);
+    }
+  fabric.set_link_capacities(batch);
+  fs.notify_capacity_change(links);
+  oracle.observe();
+  if (fs.active_flows() == 0) return;
+  eng.schedule_in(t.rotor_slot_s(), [&eng, &fabric, &fs, &oracle, slot] {
+    const int next = (slot + 1) % fabric.topology().rotor_matchings();
+    rotate_rotor(eng, fabric, fs, oracle, next);
+  });
+}
+
+enum class Traffic { Random, Incast, EqualTies };
+
+struct OracleRun {
+  int events = 0;
+  std::size_t max_batch = 0;
+  net::FlowSim::Stats stats;
+};
+
+OracleRun run_horizon_oracle(const FabricFamily& fam, net::FlowSimConfig cfg,
+                             Traffic traffic, std::uint64_t seed,
+                             bool fail_restore) {
+  sim::Engine eng;
+  auto fabric = fam.make(net::Routing::Adaptive);
+  net::FlowSim fs(eng, fabric, cfg);
+  HorizonOracle oracle(eng, fs);
+  const int eps = fabric.topology().num_endpoints();
+  const int fail_link = fabric.topology().ejection_link(3);
+  sim::Rng rng(seed);
+  int launched = 0, completed = 0;
+  const int total = 240;
+  // The completion callback reads its flow's id, which start returns only
+  // afterwards; each launch stores it by launch index.
+  std::vector<std::uint64_t> ids(static_cast<std::size_t>(total));
+  std::function<void()> launch = [&] {
+    if (launched >= total) return;
+    const int i = launched++;
+    int src = 0, dst = 0;
+    double bytes = 0.0;
+    switch (traffic) {
+      case Traffic::Random:
+        src = static_cast<int>(rng.index(static_cast<std::uint64_t>(eps)));
+        dst = static_cast<int>(rng.index(static_cast<std::uint64_t>(eps)));
+        bytes = rng.uniform(1e6, 2e8);
+        break;
+      case Traffic::Incast:
+        src = 1 + static_cast<int>(rng.index(static_cast<std::uint64_t>(eps - 1)));
+        dst = i % 7 == 6 ? 3 : 0;
+        bytes = rng.uniform(1e6, 2e8);
+        break;
+      case Traffic::EqualTies:
+        src = i % eps;
+        dst = (src + 1 + 5 * (i / 16)) % eps;
+        bytes = 5e7;
+        break;
+    }
+    if (dst == src) dst = (dst + 1) % eps;
+    const auto k = static_cast<std::size_t>(i);
+    ids[k] = fs.start(src, dst, bytes, [&, k] {
+      oracle.on_done(ids[k]);
+      ++completed;
+      if (fail_restore && completed == 40) {
+        fabric.fail_link(fail_link);
+        fs.notify_capacity_change({fail_link});
+        oracle.observe();
+      }
+      if (fail_restore && completed == 90) {
+        fabric.restore_link(fail_link);
+        fs.notify_capacity_change({fail_link});
+        oracle.observe();
+      }
+      // Equal-size waves restart only once the whole wave is gone.
+      if (traffic != Traffic::EqualTies || fs.active_flows() == 0) {
+        const int n = traffic == Traffic::EqualTies ? 16 : 1;
+        for (int k = 0; k < n; ++k) launch();
+      }
+    });
+    oracle.observe();
+  };
+  for (int i = 0; i < 16; ++i) launch();
+  if (fam.rotor) rotate_rotor(eng, fabric, fs, oracle, 0);
+  eng.run();
+  oracle.finish_event();
+  return {oracle.events(), oracle.max_batch(), fs.stats()};
+}
+
+TEST(FlowSimCompletionIndex, HorizonAndDrainedSetMatchBruteForce) {
+  const net::FlowSimConfig configs[] = {
+      {},
+      {.incremental = false},
+      {.warm_start = false},
+      {.incremental_writeback = false},
+  };
+  for (const FabricFamily& fam : kFamilies)
+    for (std::size_t c = 0; c < std::size(configs); ++c)
+      for (Traffic traffic :
+           {Traffic::Random, Traffic::Incast, Traffic::EqualTies}) {
+        SCOPED_TRACE(std::string(fam.name) + " config " + std::to_string(c) +
+                     " traffic " + std::to_string(static_cast<int>(traffic)));
+        const OracleRun r =
+            run_horizon_oracle(fam, configs[c], traffic, 31 + c, false);
+        if (traffic == Traffic::EqualTies) {
+          // 15 waves of 16; each wave drains in as few events as its
+          // per-path rates allow, down to one.
+          EXPECT_GE(r.events, 15);
+          EXPECT_GE(r.max_batch, 16u);
+        } else {
+          EXPECT_GT(r.events, 30);
+        }
+      }
+}
+
+TEST(FlowSimCompletionIndex, OracleHoldsThroughStallDropFailRestore) {
+  for (net::StallPolicy policy :
+       {net::StallPolicy::Stall, net::StallPolicy::Drop})
+    for (Traffic traffic : {Traffic::Random, Traffic::Incast}) {
+      SCOPED_TRACE("policy " + std::to_string(static_cast<int>(policy)) +
+                   " traffic " + std::to_string(static_cast<int>(traffic)));
+      const OracleRun r = run_horizon_oracle(
+          kFamilies[0], {.fallback_fraction = 0.25, .stall_policy = policy},
+          traffic, 5, true);
+      EXPECT_GT(r.events, 30);
+    }
+}
+
+// The parked uniform rate: an incast whose every resolve lands in the
+// single-bottleneck closed form, so the horizon comes from the tracked
+// minimum remaining, never from the index.
+TEST(FlowSimCompletionIndex, ParkedUniformIncastMatchesOracle) {
+  const OracleRun r = run_horizon_oracle(kFamilies[0], {}, Traffic::Incast,
+                                         77, false);
+  EXPECT_GT(r.events, 30);
+  EXPECT_GT(r.stats.warm_single_hits, r.stats.resolves / 2);
+}
+
+// Finish instants that tie in exact arithmetic but not in floating point:
+// flows on distinct single links start at staggered instants with sizes
+// chosen so each finishes at T, or exactly one drain tolerance (1 us)
+// after T, in real arithmetic. Their accrual histories differ, so the
+// rounded horizons and drain predicates scatter by a few ulps around the
+// tie and the drain boundary — exactly where a completion index without
+// its rounding window would pick a different minimum or miss a drained
+// flow.
+// A second shape starts every flow at time 0 on links with random
+// capacities: the first completion then fires at exactly the minimum
+// remaining/rate, so even a one-ulp difference in which flow wins shows.
+TEST(FlowSimCompletionIndex, NearTiesAcrossAccrualHistoriesMatchOracle) {
+  for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull, 6ull, 7ull, 8ull}) {
+    const bool staggered = seed % 2 == 1;
+    sim::Engine eng;
+    auto fabric = small_dragonfly(net::Routing::Minimal);
+    sim::Rng rng(seed);
+    if (!staggered)
+      for (int l = 0; l < static_cast<int>(fabric.topology().links().size()); ++l)
+        fabric.set_link_capacity(l, rng.uniform(1e9, 5e10));
+    net::FlowSim fs(eng, fabric);
+    HorizonOracle oracle(eng, fs);
+    const auto& cap = fabric.effective_capacities();
+    const double finish = 1e-3;
+    const int flows = static_cast<int>(cap.size());
+    int completed = 0;
+    std::vector<std::uint64_t> ids(static_cast<std::size_t>(flows));
+    for (int l = 0; l < flows; ++l) {
+      const double t0 = staggered ? rng.uniform(0.0, 0.5e-3) : 0.0;
+      const double late = rng.index(2) == 0 ? 0.0 : 1e-6;
+      eng.schedule_at(t0, [&, l, t0, late] {
+        const auto lu = static_cast<std::size_t>(l);
+        // A few ulps of jitter scatters the rounded horizons around the tie.
+        const double jitter = 1.0 + std::ldexp(rng.uniform(-8.0, 8.0), -53);
+        const double bytes = cap[lu] * (finish + late - t0) * jitter;
+        ids[lu] = fs.start_on_path({l}, bytes, [&, lu] {
+          oracle.on_done(ids[lu]);
+          ++completed;
+        });
+        oracle.observe();
+      });
+    }
+    eng.run();
+    oracle.finish_event();
+    EXPECT_EQ(completed, flows);
+    EXPECT_GE(oracle.max_batch(), 2u);
+  }
+}
+
+// Flows on disjoint single-link paths of the full Frontier fabric, in a
+// closed loop. Sizes span a range proportional to the flow count, so
+// completions per simulated microsecond (the drain tolerance) stay fixed:
+// the exact predicates the index evaluates per resolve must then stay flat
+// as the active set grows 16x. The scans it replaced visited every flow.
+double horizon_visits_per_resolve(int flows) {
+  sim::Engine eng;
+  const machines::Machine m = machines::frontier();
+  auto fabric = m.build_fabric();
+  net::FlowSim fs(eng, fabric);
+  sim::Rng rng(2024);
+  const auto& topo = fabric.topology();
+  const double span = 2e4 * flows;  // bytes
+  int completions = 0;
+  const int target = 3 * flows;
+  std::function<void(int)> launch = [&](int i) {
+    fs.start_on_path({topo.injection_link(i)}, 1e6 + rng.uniform(0.0, span),
+                     [&, i] {
+                       if (++completions < target) launch(i);
+                     });
+  };
+  for (int i = 0; i < flows; ++i) launch(i);
+  const auto s0 = fs.stats();
+  eng.run();
+  const auto s1 = fs.stats();
+  EXPECT_GE(completions, target);
+  return static_cast<double>(s1.horizon_visits - s0.horizon_visits) /
+         static_cast<double>(s1.resolves - s0.resolves);
+}
+
+TEST(FlowSimCompletionIndex, HorizonVisitsPerResolveIndependentOfActiveCount) {
+  const double small = horizon_visits_per_resolve(1024);
+  const double large = horizon_visits_per_resolve(16384);
+  std::printf("horizon visits per resolve: %.3f at 1024 flows, %.3f at "
+              "16384\n", small, large);
+  EXPECT_GT(small, 0.0);
+  EXPECT_LT(small, 3.0);
+  EXPECT_LT(large, 3.0);
+  EXPECT_LT(large, 1.5 * small);
+}
+
+// --------------------------------------------------- entry validation ---
+
+// Rejected starts throw before any state moves: no leaked arena slot, no
+// RNG draw, no adaptive-load bump, so the run continues bitwise equal to
+// one that never saw them.
+TEST(FlowSimValidation, RejectedStartsLeaveRunBitwiseUnchanged) {
+  const auto run = [](bool with_bad_calls) {
+    sim::Engine eng;
+    auto fabric = small_dragonfly(net::Routing::Adaptive);
+    net::FlowSim fs(eng, fabric);
+    const int eps = fabric.topology().num_endpoints();
+    const int links = static_cast<int>(fabric.topology().links().size());
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    sim::Rng rng(4242);
+    std::vector<double> times;
+    int launched = 0;
+    std::function<void()> launch = [&] {
+      if (launched >= 120) return;
+      ++launched;
+      if (with_bad_calls) {
+        const std::size_t arena = fs.arena_slots();
+        const std::size_t active = fs.active_flows();
+        for (int k = 0; k < 3; ++k) {
+          EXPECT_THROW(fs.start(-1, 5, 1e6, [] {}), std::out_of_range);
+          EXPECT_THROW(fs.start(5, eps, 1e6, [] {}), std::out_of_range);
+          EXPECT_THROW(fs.start(eps + 7, -3, 1e6, [] {}), std::out_of_range);
+          EXPECT_THROW(fs.start(1, 2, nan, [] {}), std::invalid_argument);
+          EXPECT_THROW(fs.start(1, 2, inf, [] {}), std::invalid_argument);
+          EXPECT_THROW(fs.start_on_path({}, 1e6, [] {}), std::invalid_argument);
+          EXPECT_THROW(fs.start_on_path({0, links}, 1e6, [] {}),
+                       std::out_of_range);
+          EXPECT_THROW(fs.start_on_path({-1}, 1e6, [] {}), std::out_of_range);
+          EXPECT_THROW(fs.start_on_path({0}, -inf, [] {}),
+                       std::invalid_argument);
+        }
+        EXPECT_EQ(fs.arena_slots(), arena);
+        EXPECT_EQ(fs.active_flows(), active);
+      }
+      const int src = static_cast<int>(rng.index(static_cast<std::uint64_t>(eps)));
+      int dst = static_cast<int>(rng.index(static_cast<std::uint64_t>(eps)));
+      if (dst == src) dst = (dst + 1) % eps;
+      fs.start(src, dst, rng.uniform(1e6, 2e8), [&] {
+        times.push_back(eng.now());
+        launch();
+      });
+    };
+    for (int i = 0; i < 16; ++i) launch();
+    eng.run();
+    EXPECT_EQ(fs.active_flows(), 0u);
+    return std::make_pair(times, fs.arena_slots());
+  };
+  const auto [want, want_arena] = run(false);
+  const auto [got, got_arena] = run(true);
+  EXPECT_EQ(got_arena, want_arena);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(got[i], want[i]) << "completion " << i;
+}
+
+// A start whose route fails at run time (every global link out of the
+// source group is down) hands its arena slot back before rethrowing.
+TEST(FlowSimValidation, UnroutableStartReturnsItsSlot) {
+  sim::Engine eng;
+  auto fabric = small_dragonfly(net::Routing::Minimal);
+  const auto& t = fabric.topology();
+  for (const auto& l : t.links())
+    if (l.kind == topo::LinkKind::Global && t.group_of_switch(l.src) == 0)
+      fabric.fail_link(l.id);
+  net::FlowSim fs(eng, fabric);
+  bool done = false;
+  fs.start(0, 1, 1e6, [&] { done = true; });  // within group 0: routable
+  const std::size_t arena = fs.arena_slots();
+  const int far = t.num_endpoints() - 1;      // another group
+  for (int k = 0; k < 5; ++k)
+    EXPECT_THROW(fs.start(0, far, 1e6, [] {}), std::runtime_error);
+  // The slot routing needed comes back each time and is reused, so the
+  // arena grows by one slot at most, and a later start takes that slot.
+  EXPECT_LE(fs.arena_slots(), arena + 1);
+  const std::size_t after = fs.arena_slots();
+  EXPECT_EQ(fs.active_flows(), 1u);
+  bool second = false;
+  fs.start(2, 3, 1e6, [&] { second = true; });
+  EXPECT_EQ(fs.arena_slots(), after);
+  eng.run();
+  EXPECT_TRUE(done);
+  EXPECT_TRUE(second);
 }
 
 }  // namespace

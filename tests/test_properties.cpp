@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <set>
@@ -837,6 +838,116 @@ TEST(SteadyRatesFamily, FamiliesExerciseTheirModels) {
   EXPECT_EQ(steady_frontier().config().routing, net::Routing::Adaptive);
   EXPECT_FALSE(steady_summit().config().congestion_control);
 }
+
+// ------------------------------------------ random-endpoint properties ----
+
+// Random endpoint pairs on every topology family. In range: every route is
+// a non-empty run of valid link ids from the source's injection link to the
+// destination's ejection link, steady_rates equals route + component solve
+// bit for bit and passes the max-min certificate (feasible, and each flow
+// is the largest on some saturated link of its path; the HOL-scaled rates
+// of a fabric without congestion control are checked for feasibility
+// only). Out of range: route and steady_rates throw std::out_of_range and
+// leave the fabric as it was, so the next valid call returns identical bits.
+net::Fabric endpoint_fat_tree_1to1() {
+  return net::Fabric(topo::Topology::oversubscribed_fat_tree(16, 8, 1.0, 25e9, 180e-9),
+                     net::FabricConfig{});
+}
+
+class RandomEndpointProperty : public ::testing::TestWithParam<SteadyFamily> {};
+
+TEST_P(RandomEndpointProperty, InRangeValidOutOfRangeThrowsAndLeavesFabric) {
+  const net::Fabric fabric = GetParam().make();
+  const auto& t = fabric.topology();
+  const int eps = t.num_endpoints();
+  const auto links = static_cast<int>(t.links().size());
+  sim::Rng pick(0xE9D5u);
+  const auto endpoint = [&] {
+    return static_cast<int>(pick.index(static_cast<std::uint64_t>(eps)));
+  };
+
+  sim::Rng route_rng(11);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int a = endpoint();
+    int b = endpoint();
+    if (b == a) b = (a + 1) % eps;
+    const auto path = fabric.route(a, b, route_rng);
+    ASSERT_FALSE(path.empty());
+    for (int l : path) {
+      ASSERT_GE(l, 0);
+      ASSERT_LT(l, links);
+    }
+    EXPECT_EQ(path.front(), t.injection_link(a));
+    EXPECT_EQ(path.back(), t.ejection_link(b));
+  }
+
+  net::PairList pairs;
+  for (int f = 0; f < 512; ++f) {
+    const int a = endpoint();
+    int b = endpoint();
+    if (b == a) b = (a + 1) % eps;
+    pairs.emplace_back(a, b);
+  }
+  std::vector<std::vector<int>> want_paths, got_paths;
+  const auto want = steady_reference(fabric, pairs, nullptr, nullptr, &want_paths);
+  const auto rates = fabric.steady_rates(pairs, nullptr, &got_paths);
+  ASSERT_EQ(got_paths, want_paths);
+  ASSERT_EQ(rates.size(), want.size());
+  for (std::size_t f = 0; f < rates.size(); ++f)
+    ASSERT_EQ(bits(rates[f]), bits(want[f])) << "flow " << f;
+
+  const auto& cap = fabric.effective_capacities();
+  std::vector<double> load(cap.size(), 0.0), top(cap.size(), 0.0);
+  for (std::size_t f = 0; f < rates.size(); ++f) {
+    EXPECT_TRUE(rates[f] >= 0.0 && std::isfinite(rates[f]));  // 0: dark link
+    for (int l : got_paths[f]) {
+      const auto lu = static_cast<std::size_t>(l);
+      load[lu] += rates[f];
+      top[lu] = std::max(top[lu], rates[f]);
+    }
+  }
+  for (std::size_t l = 0; l < cap.size(); ++l)
+    EXPECT_LE(load[l], cap[l] * (1 + 1e-9)) << "link " << l;
+  if (fabric.config().congestion_control) {
+    for (std::size_t f = 0; f < rates.size(); ++f) {
+      bool bottleneck = false;
+      for (int l : got_paths[f]) {
+        const auto lu = static_cast<std::size_t>(l);
+        bottleneck = bottleneck || (load[lu] >= cap[lu] * (1 - 1e-9) &&
+                                    rates[f] >= top[lu] * (1 - 1e-12));
+      }
+      EXPECT_TRUE(bottleneck) << GetParam().name << " flow " << f;
+    }
+  }
+
+  sim::Rng before_rng(5);
+  const auto route_before = fabric.route(pairs[0].first, pairs[0].second, before_rng);
+  for (const int bad : {-1, eps, eps + 1000, std::numeric_limits<int>::min()}) {
+    sim::Rng r(3);
+    EXPECT_THROW(fabric.route(bad, 0, r), std::out_of_range) << bad;
+    EXPECT_THROW(fabric.route(0, bad, r), std::out_of_range) << bad;
+    net::PairList poisoned = pairs;
+    poisoned[pairs.size() / 2].second = bad;
+    EXPECT_THROW(fabric.steady_rates(poisoned), std::out_of_range) << bad;
+  }
+  const auto again = fabric.steady_rates(pairs);
+  ASSERT_EQ(again.size(), rates.size());
+  for (std::size_t f = 0; f < rates.size(); ++f)
+    ASSERT_EQ(bits(again[f]), bits(rates[f])) << "flow " << f;
+  sim::Rng after_rng(5);
+  EXPECT_EQ(fabric.route(pairs[0].first, pairs[0].second, after_rng), route_before);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, RandomEndpointProperty,
+    ::testing::Values(SteadyFamily{"frontier_dragonfly", steady_frontier},
+                      SteadyFamily{"os_fat_tree_1to1", endpoint_fat_tree_1to1},
+                      SteadyFamily{"os_fat_tree_4to1", steady_os_fat_tree},
+                      SteadyFamily{"rotor", steady_rotor},
+                      SteadyFamily{"summit_fat_tree", steady_summit}),
+    [](const ::testing::TestParamInfo<SteadyFamily>& info) {
+      return std::string(info.param.name);
+    });
 
 // ------------------------------------------ dense routing-table identity ----
 
