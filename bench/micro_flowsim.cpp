@@ -12,7 +12,6 @@
 //
 // Reported counters:
 //   comp_avg   — mean flows handed to the solver per resolve (full = F)
-//   fallback%  — share of resolves that fell back to the full solve
 //   heap       — engine heap occupancy at the end of the run
 //   stale      — cancelled-but-unpopped heap entries (bounded by compaction)
 //   allocs/op  — heap allocations per completed flow (includes sim setup)
@@ -386,14 +385,9 @@ void BM_FlowChurn(benchmark::State& state, Pattern p, bool incremental,
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(target));
   const double solves = static_cast<double>(
-      last.full_solves + last.fallback_solves + last.component_solves);
+      last.full_solves + last.component_solves);
   state.counters["comp_avg"] =
       solves > 0 ? static_cast<double>(last.flows_solved) / solves : 0.0;
-  state.counters["fallback%"] =
-      last.resolves
-          ? 100.0 * static_cast<double>(last.fallback_solves) /
-                static_cast<double>(last.resolves)
-          : 0.0;
   state.counters["heap"] = static_cast<double>(heap);
   state.counters["stale"] = static_cast<double>(stale);
   // Warm-start effectiveness (ISSUE 6): share of resolves taking the warm
@@ -433,16 +427,6 @@ void BM_FlowChurn(benchmark::State& state, Pattern p, bool incremental,
   state.counters["steady_allocs/op"] =
       wb.ops ? static_cast<double>(wb.allocs) / static_cast<double>(wb.ops)
              : 0.0;
-  // Share of water-filling iterations whose min-share scan crossed the
-  // parallel gate and ran as a chunked parallel reduce (ISSUE 10). Most
-  // incremental rows solve small per-churn components and stay at 0; the
-  // warm whole-set and full-solve paths engage once the live link count
-  // clears solver_tuning().parallel_scan_threshold.
-  state.counters["scan_engaged%"] =
-      last.solver_iterations
-          ? 100.0 * static_cast<double>(last.parallel_scans) /
-                static_cast<double>(last.solver_iterations)
-          : 0.0;
   state.counters["rc_hit%"] = rc.hit_pct();
   state.counters["topo_build_ms"] = topo_ms;
   // Completion-index work per completed flow: exact horizon and drain
@@ -451,12 +435,11 @@ void BM_FlowChurn(benchmark::State& state, Pattern p, bool incremental,
   state.counters["horizon_visits/op"] =
       static_cast<double>(last.horizon_visits) / static_cast<double>(target);
   if (is_rotor) {
-    // Slot-boundary cost (ISSUE 9): how many transitions the run needed and
-    // how many warm-memo generations they invalidated. check_bench.py gates
-    // that rotor rows actually rotated and that slot re-pricing leaves the
-    // route cache untouched (the generic rc_hit% floor).
+    // Slot-boundary cost: how many transitions the run needed.
+    // check_bench.py gates that rotor rows actually rotated and that slot
+    // re-pricing leaves the route cache untouched (the generic rc_hit%
+    // floor).
     state.counters["slot_transitions"] = static_cast<double>(slot_transitions);
-    state.counters["memo_stale"] = static_cast<double>(last.warm_memo_stale);
   }
 }
 
@@ -505,47 +488,34 @@ void BM_SteadyResolve(benchmark::State& state, Pattern p) {
   state.counters["resolves"] = static_cast<double>(resolves);
 }
 
-// Thread-scaling (ISSUE 4): full-solve all-to-all churn at 4,096 endpoints.
-// All-to-all is one connected component, so the win comes from the parallel
-// min-share scan inside the water-filling loop (engaged at >= 4096 active
-// links); results are bit-identical at any thread count, only wall clock
-// changes. Sweep XSCALE_THREADS-equivalents via the Arg.
+// Thread sweep: full-solve all-to-all churn at 4,096 endpoints.
+// FlowSim's full solve runs its components serially through the CSR core,
+// so these rows are flat by design; results are bit-identical at any thread
+// count. Sweep XSCALE_THREADS-equivalents via the Arg.
 void BM_FlowChurnThreads(benchmark::State& state) {
   const int prev_threads = sim::thread_count();
   sim::set_thread_count(static_cast<int>(state.range(0)));
   const int n = 4096;
   const auto fabric = build_fabric(n);
   const auto target = churn_target(n);
-  net::FlowSim::Stats last{};
   for (auto _ : state) {
     sim::Engine eng;
     net::FlowSim fs(eng, fabric, {.incremental = false});
     const auto done = churn(fs, eng, Pattern::AllToAll, n, target);
     benchmark::DoNotOptimize(done);
-    last = fs.stats();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(target));
   state.counters["threads"] = static_cast<double>(state.range(0));
-  state.counters["scan_engaged%"] =
-      last.solver_iterations
-          ? 100.0 * static_cast<double>(last.parallel_scans) /
-                static_cast<double>(last.solver_iterations)
-          : 0.0;
   sim::set_thread_count(prev_threads);
 }
 
-// Thread-scaling for the warm whole-set solve (ISSUE 8/10): all-to-all churn
-// with fallback_fraction = 0, which routes every resolve through the warm
-// whole-set water-filling — the path whose min-share scan and batch
-// rate-subtraction cross the parallel gates once the live link list is large
-// enough. The full-solve variant above never exercises these code paths, so
-// its scaling numbers said nothing about warm resolves (and plain
-// incremental all-to-all churn solves small per-churn components, never the
-// whole set). Args are {threads, endpoints}: the Frontier-scale row (9,408)
-// sweeps the full thread ladder; the 2x/4x-Frontier rows (ISSUE 10) run
-// {1, 4} so the recorded snapshot carries the 4-thread-vs-1-thread speedup
-// check_bench.py gates at every fabric scale.
+// Warm whole-set solve throughput: all-to-all churn with
+// fallback_fraction = 0, which routes every resolve through the warm
+// whole-set water-filling (plain incremental all-to-all churn solves small
+// per-churn components, never the whole set). Args are {threads,
+// endpoints}. The warm loop is serial, so only the 1-thread rows remain;
+// the leading 1 keeps their names equal to the recorded snapshot's.
 void BM_FlowChurnThreadsWarm(benchmark::State& state) {
   const int prev_threads = sim::thread_count();
   sim::set_thread_count(static_cast<int>(state.range(0)));
@@ -568,11 +538,6 @@ void BM_FlowChurnThreadsWarm(benchmark::State& state) {
       last.resolves ? 100.0 * static_cast<double>(last.warm_solves) /
                           static_cast<double>(last.resolves)
                     : 0.0;
-  state.counters["scan_engaged%"] =
-      last.solver_iterations
-          ? 100.0 * static_cast<double>(last.parallel_scans) /
-                static_cast<double>(last.solver_iterations)
-          : 0.0;
   sim::set_thread_count(prev_threads);
 }
 
@@ -664,9 +629,7 @@ BENCHMARK(BM_EngineCancelChurn)->Arg(4)->Arg(1024)->Unit(benchmark::kMillisecond
 BENCHMARK(BM_FlowChurnThreads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FlowChurnThreadsWarm)
-    ->Args({1, 9408})->Args({2, 9408})->Args({4, 9408})->Args({8, 9408})
-    ->Args({1, 18944})->Args({4, 18944})
-    ->Args({1, 37888})->Args({4, 37888})
+    ->Args({1, 9408})->Args({1, 18944})->Args({1, 37888})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_JobReplayThreads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);

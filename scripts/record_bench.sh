@@ -87,10 +87,10 @@ for name in ("micro_flowsim", "micro_simcore", "micro_serve"):
         entry = {"real_time_ms": round(b["real_time"] / 1e6, 3)
                  if b.get("time_unit") == "ns" else round(b["real_time"], 3)}
         for k in ("items_per_second", "allocs/resolve", "allocs/op",
-                  "steady_allocs/op", "scan_engaged%",
-                  "comp_avg", "fallback%", "warm%", "frontier_avg",
+                  "steady_allocs/op",
+                  "comp_avg", "warm%", "frontier_avg",
                   "threads", "heap", "stale",
-                  "warm_memo%", "memo_stale", "epochs_max", "reroutes",
+                  "epochs_max", "reroutes",
                   "slot_transitions",
                   "writeback%", "rc_hit%", "topo_build_ms",
                   "horizon_visits/op",

@@ -10,7 +10,6 @@
 #include "net/simd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/parallel.hpp"
 
 namespace xscale::net {
 
@@ -444,8 +443,7 @@ void FlowSim::affected_component(double max_flows) {
       // not its full membership: stop the BFS (and skip the sort — contents
       // become a size witness only) as soon as that is proven, which turns
       // an incast resolve's O(component) discovery into O(threshold).
-      if (max_flows >= 0.0 &&
-          static_cast<double>(comp_slots_.size()) > max_flows) {
+      if (static_cast<double>(comp_slots_.size()) > max_flows) {
         comp_truncated_ = true;
         link_q_.clear();
         return;
@@ -583,53 +581,6 @@ void FlowSim::warm_record_removal(int slot) {
     // is unknown and the prefix invariant cannot be established.
     delta_meta_broken_ = true;
   }
-}
-
-bool FlowSim::warm_memo_lookup() {
-  // The max-min solution is a pure function of (capacities, member paths in
-  // ascending-id order): if the concatenated path stream of the active set
-  // matches a cached generation under the same capacity epoch, its rate
-  // vector applies verbatim — member *ids* may differ (a completed flow
-  // replaced by an identically-routed one), positions and paths are what
-  // determine the arithmetic.
-  const std::uint64_t cap_epoch = fabric_.capacity_epoch();
-  const std::size_t members = active_order_.size();
-  for (WarmMemo& m : memo_) {
-    if (!m.valid) continue;
-    if (m.cap_epoch != cap_epoch) {
-      // A capacity epoch that moved under a valid generation is an
-      // invalidation: with per-overlay epochs (DESIGN.md §10) only THIS
-      // session's fail/restore/override calls can trip it, which is exactly
-      // what the serving-layer isolation tests count.
-      ++stats_.warm_memo_stale;
-      continue;
-    }
-    if (m.offsets.size() != members + 1) continue;
-    bool match = true;
-    for (std::size_t i = 0; i < members && match; ++i) {
-      const Flow& f = slots_[static_cast<std::size_t>(active_order_[i])];
-      const auto b = static_cast<std::size_t>(m.offsets[i]);
-      const auto e = static_cast<std::size_t>(m.offsets[i + 1]);
-      match = (e - b == f.path.size()) &&
-              std::equal(f.path.begin(), f.path.end(), m.stream.begin() + b);
-    }
-    if (!match) continue;
-    std::uint64_t applied = 0;
-    for (std::size_t i = 0; i < members; ++i) {
-      const Flow& f = slots_[static_cast<std::size_t>(active_order_[i])];
-      const double r = m.rates[i];
-      const bool noop = r == f.rate && (r > 0.0 || f.stalled);
-      if (!noop) {
-        set_rate(active_order_[i], r);
-        ++applied;
-      } else if (!cfg_.incremental_writeback) {
-        set_rate(active_order_[i], r);
-      }
-    }
-    note_writeback(applied, static_cast<std::uint64_t>(members) - applied);
-    return true;
-  }
-  return false;
 }
 
 void FlowSim::note_writeback(std::uint64_t applied, std::uint64_t skipped) {
@@ -1009,22 +960,13 @@ void FlowSim::warm_solve(SolveStats* ss) {
     return;
   }
 
-  // From here on the solve compares against and writes `f.rate` (memo
-  // replay and the general water-filling both go through set_rate): the
-  // parked uniform rate must be settled first or the early-out comparisons
-  // and accrual would read stale values.
+  // From here on the solve compares against and writes `f.rate` (through
+  // set_rate): the parked uniform rate must be settled first or the
+  // early-out comparisons and accrual would read stale values.
   materialize_pending();
-
-  if (warm_memo_lookup()) {
-    ++stats_.warm_memo_hits;
-    frontier_stat.add(0.0);
-    warm_meta_ok_ = false;  // no fresh freeze metadata this pass
-    return;
-  }
 
   if (warm_frozen_.size() < slots_.size()) {
     warm_frozen_.resize(slots_.size(), 0);
-    warm_batch_.resize(slots_.size(), 0);
     warm_level_.resize(slots_.size(), 0);
     warm_rate_.resize(slots_.size(), 0.0);
   }
@@ -1151,26 +1093,15 @@ void FlowSim::warm_solve(SolveStats* ss) {
     if (replayed > 0) ++stats_.warm_prefix_hits;
   }
 
-  const double inf = std::numeric_limits<double>::infinity();
   // Dispatched min-share kernel: a branch-free sweep over the dense
   // position-indexed block (simd.hpp pins scalar == AVX2 bitwise).
   const MinShareScanFn kernel = min_share_scan();
-  const SolverTuning& tun = solver_tuning();
-  auto scan_min = [&](std::size_t b, std::size_t e) {
-    return kernel(warm_resid_.data(), warm_aw_.data(), b, e);
-  };
 
-  std::int64_t parallel_scans = 0;
   while (remaining > 0) {
     ++iterations;
     const std::size_t n_active = warm_links_.size();
-    const bool par_scan = n_active >= tun.parallel_scan_threshold;
-    if (par_scan) ++parallel_scans;
     const double min_share =
-        par_scan ? sim::parallel_reduce(
-                       n_active, tun.scan_grain, inf, scan_min,
-                       [](double a, double b) { return std::min(a, b); })
-                 : scan_min(0, n_active);
+        kernel(warm_resid_.data(), warm_aw_.data(), 0, n_active);
     if (!std::isfinite(min_share))
       throw std::runtime_error(
           "max_min_rates: no finite bottleneck share for remaining flows");
@@ -1182,74 +1113,35 @@ void FlowSim::warm_solve(SolveStats* ss) {
       if (std::max(0.0, warm_resid_[pi]) / aw > cutoff) continue;
       const auto lu = static_cast<std::size_t>(warm_links_[pi]);
       ++bottlenecks;
-      const auto& on = flows_on_link_[lu];
-      // Serial-vs-batch split (see SolverTuning in solver.hpp on why the
-      // batch path is bit-identical); unit rates make the per-link
-      // subtraction values within one batch all equal to min_share.
-      std::size_t batch = 0;
-      if (n_active >= tun.parallel_scan_threshold) {
-        for (int s : on)
-          if (warm_frozen_[static_cast<std::size_t>(s)] != warm_pass_) ++batch;
-      }
-      if (batch < tun.parallel_update_min) {
-        for (int s : on) {
-          const auto su = static_cast<std::size_t>(s);
-          if (warm_frozen_[su] == warm_pass_) continue;
-          warm_frozen_[su] = warm_pass_;
-          warm_level_[su] = level;
-          warm_rate_[su] = min_share;
-          const Flow& ff = slots_[su];
-          if (!(min_share == ff.rate && (min_share > 0.0 || ff.stalled)))
-            changed_slots_.push_back(s);
-          warm_seq2_.push_back(s);
-          warm_seq2_lvl_.push_back(level);
-          --remaining;
-          for (int pl : slots_[su].path) {
-            // Every link of a flow unfrozen until now still has unfrozen
-            // crossers, so it survived every compaction and its position
-            // under the current epoch is live (unit-weight argument above).
-            const auto p = static_cast<std::size_t>(
-                link_local_id_[static_cast<std::size_t>(pl)]);
-            warm_resid_[p] -= min_share;
-            warm_aw_[p] -= 1.0;
-          }
+      for (int s : flows_on_link_[lu]) {
+        const auto su = static_cast<std::size_t>(s);
+        if (warm_frozen_[su] == warm_pass_) continue;
+        warm_frozen_[su] = warm_pass_;
+        warm_level_[su] = level;
+        warm_rate_[su] = min_share;
+        const Flow& ff = slots_[su];
+        if (!(min_share == ff.rate && (min_share > 0.0 || ff.stalled)))
+          changed_slots_.push_back(s);
+        warm_seq2_.push_back(s);
+        warm_seq2_lvl_.push_back(level);
+        --remaining;
+        for (int pl : ff.path) {
+          // Every link of a flow unfrozen until now still has unfrozen
+          // crossers, so it survived every compaction and its position
+          // under the current epoch is live (unit-weight argument above).
+          const auto p = static_cast<std::size_t>(
+              link_local_id_[static_cast<std::size_t>(pl)]);
+          warm_resid_[p] -= min_share;
+          warm_aw_[p] -= 1.0;
         }
-      } else {
-        ++warm_batch_epoch_;
-        for (int s : on) {
-          const auto su = static_cast<std::size_t>(s);
-          if (warm_frozen_[su] == warm_pass_) continue;
-          warm_frozen_[su] = warm_pass_;
-          warm_level_[su] = level;
-          warm_rate_[su] = min_share;
-          warm_batch_[su] = warm_batch_epoch_;
-          const Flow& ff = slots_[su];
-          if (!(min_share == ff.rate && (min_share > 0.0 || ff.stalled)))
-            changed_slots_.push_back(s);
-          warm_seq2_.push_back(s);
-          warm_seq2_lvl_.push_back(level);
-          --remaining;
-        }
-        sim::parallel_for(
-            n_active, tun.scan_grain, [&](std::size_t b, std::size_t e) {
-              for (std::size_t i = b; i < e; ++i) {
-                const auto lu2 = static_cast<std::size_t>(warm_links_[i]);
-                for (int s : flows_on_link_[lu2]) {
-                  const auto su = static_cast<std::size_t>(s);
-                  if (warm_batch_[su] != warm_batch_epoch_) continue;
-                  warm_resid_[i] -= warm_rate_[su];
-                  warm_aw_[i] -= 1.0;
-                }
-              }
-            });
       }
     }
     compact_live();
   }
 
-  // Freeze metadata + memo for the next resolve's replay paths, then apply
-  // rates in ascending id order (set_rate early-outs keep accrual schedules
-  // bitwise aligned with the cold path).
+  // Freeze metadata for the next resolve's prefix replay, then apply rates
+  // (set_rate early-outs keep accrual schedules bitwise aligned with the
+  // cold path).
   warm_seq_.swap(warm_seq2_);
   warm_seq_lvl_.swap(warm_seq2_lvl_);
   warm_meta_ok_ = true;
@@ -1258,28 +1150,12 @@ void FlowSim::warm_solve(SolveStats* ss) {
   delta_meta_broken_ = false;
   delta_min_level_ = 0;
 
-  WarmMemo& m = memo_[memo_next_];
-  memo_next_ ^= 1;
-  m.valid = true;
-  m.cap_epoch = cap_epoch;
-  m.stream.clear();
-  m.offsets.clear();
-  m.rates.clear();
-  m.offsets.push_back(0);
-  for (int s : active_order_) {
-    const Flow& f = slots_[static_cast<std::size_t>(s)];
-    m.stream.insert(m.stream.end(), f.path.begin(), f.path.end());
-    m.offsets.push_back(static_cast<int>(m.stream.size()));
-    m.rates.push_back(warm_rate_[static_cast<std::size_t>(s)]);
-  }
-
   const std::size_t frontier = members - replayed;
   stats_.frontier_flows += frontier;
   frontier_stat.add(static_cast<double>(frontier));
   if (ss) {
     ss->iterations = iterations;
     ss->bottleneck_links = bottlenecks;
-    ss->parallel_scans = parallel_scans;
   }
 
   if (cfg_.incremental_writeback) {
@@ -1323,7 +1199,7 @@ void FlowSim::resolve_and_schedule() {
     ++stats_.full_solves;
     comp_slots_.clear();
   } else {
-    if (cfg_.warm_start && cfg_.incremental_writeback) {
+    if (cfg_.incremental_writeback) {
       // Incremental single-bottleneck verdict from the maintained top-2
       // share summary: a "yes" skips the BFS, the O(live links) scan AND
       // the write-back — the uniform rate is parked for lazy,
@@ -1353,42 +1229,33 @@ void FlowSim::resolve_and_schedule() {
       // writes `f.rate` materialises at its own entry instead — this is what
       // keeps same-instant start bursts (scenario injection, the bench ramp)
       // from paying one whole-set write per bailed verdict.
-      // With warm start enabled the BFS may stop early: it only has to
-      // prove the component oversized — the warm solve re-derives
-      // membership from `active_order_` itself, so `comp_slots_` is just a
-      // size lower bound.
+      // The BFS may stop early: it only has to prove the component
+      // oversized — the warm solve re-derives membership from
+      // `active_order_` itself, so `comp_slots_` is just a size lower bound.
       const double limit =
           cfg_.fallback_fraction * static_cast<double>(active_count_);
-      affected_component(cfg_.warm_start ? limit : -1.0);
+      affected_component(limit);
       stats_.largest_component = std::max<std::uint64_t>(
           stats_.largest_component, comp_slots_.size());
       if (comp_truncated_ ||
           static_cast<double>(comp_slots_.size()) > limit) {
-        if (cfg_.warm_start) {
-          warm = true;
-          ++stats_.warm_solves;
-        } else {
-          full = true;
-          ++stats_.fallback_solves;
-          static obs::Counter& warm_fb =
-              obs::metrics().counter("net.solver.warmstart.fallback");
-          warm_fb.inc();
-        }
+        warm = true;
+        ++stats_.warm_solves;
       }
     }
   }
 
-  if (full) materialize_pending();
   if (warm && !lazy) {
     warm_solve(&ss);
   } else if (full) {
+    materialize_pending();  // the component solves compare and write `f.rate`
     // Re-solve the whole active set, decomposed into connected components
     // (flows transitively sharing links) discovered in ascending
     // first-flow-id order. Per-component solutions equal the global solution
     // bit-for-bit (the PR 4 component-vs-global property pins this), each
     // component goes through the persistent CSR path, and stats sum in
     // component order — same rates and same counts as the old
-    // `max_min_rates_components` route, but a fallback solve now allocates
+    // `max_min_rates_components` route, but a full solve now allocates
     // nothing once warm either.
     order_.clear();
     for (std::size_t s = 0; s < slots_.size(); ++s)
@@ -1406,7 +1273,6 @@ void FlowSim::resolve_and_schedule() {
       solve_component(comp_slots_, &cs);
       ss.iterations += cs.iterations;
       ss.bottleneck_links += cs.bottleneck_links;
-      ss.parallel_scans += cs.parallel_scans;
     }
     comp_slots_ = order_;  // solved set, for the drop sweep below
     warm_meta_ok_ = false;
@@ -1420,21 +1286,17 @@ void FlowSim::resolve_and_schedule() {
   stats_.flows_solved += solved.size();
   stats_.solver_iterations += static_cast<std::uint64_t>(ss.iterations);
   stats_.bottleneck_links += static_cast<std::uint64_t>(ss.bottleneck_links);
-  stats_.parallel_scans += static_cast<std::uint64_t>(ss.parallel_scans);
 
   // Per-solve observability: component size, which solve path ran, and
-  // solver effort — the numbers that explain where resolve time goes.
-  // `reason` records *why* a full solve was taken: 0 = no fallback (warm or
-  // restricted solve), 1 = incremental disabled, 2 = component exceeded
-  // fallback_fraction with warm start disabled.
+  // solver effort — the numbers that explain where resolve time goes. A full
+  // solve only runs with incremental off, so the event name says why.
   obs::tracer().instant(
       "net",
       warm ? "resolve_warm" : full ? "resolve_full" : "resolve_component",
       eng_.now(),
       {{"flows", static_cast<double>(solved.size())},
        {"active", static_cast<double>(active_count_)},
-       {"iterations", static_cast<double>(ss.iterations)},
-       {"reason", full ? (!cfg_.incremental ? 1.0 : 2.0) : 0.0}});
+       {"iterations", static_cast<double>(ss.iterations)}});
   {
     static obs::Counter& resolves = obs::metrics().counter("net.resolves");
     static obs::Counter& fulls = obs::metrics().counter("net.full_solves");

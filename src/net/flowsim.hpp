@@ -12,9 +12,11 @@
 // dirty link (flows in other components share no links with it, so their
 // max-min rates are provably unchanged — the global solution is the union of
 // per-component solutions). When the affected component exceeds a configured
-// fraction of the active set, it falls back to the full `max_min_rates`
-// solve, which also serves as the reference oracle in the differential tests
-// (tests/test_flowsim.cpp asserts bit-for-bit equality on randomized churn).
+// fraction of the active set, the whole active set is re-solved in place
+// over the persistent flow/link incidence (the warm solve, DESIGN.md §9).
+// `incremental = false` re-solves every component cold instead; that mode
+// is the reference the differential tests hold both paths to, bit for bit
+// (tests/test_flowsim.cpp, on randomized churn).
 //
 // Storage is flat (DESIGN.md §8): flows live in a slot arena with a free
 // list, per-link incidence holds slot indices, and the restricted re-solve
@@ -59,17 +61,14 @@ enum class StallPolicy { Stall, Drop };
 
 struct FlowSimConfig {
   bool incremental = true;
-  // Hand the resolve to a whole-set solve when the affected component holds
-  // more than this fraction of the active flows (the restricted solve would
-  // not be cheaper).
+  // Hand the resolve to the warm whole-set solve when the affected
+  // component holds more than this fraction of the active flows (the
+  // restricted solve would not be cheaper). The warm solve re-solves the
+  // whole active set *in place* over the persistently maintained flow/link
+  // incidence (DESIGN.md §9): no BFS completion, no id sort, no CSR repack,
+  // plus a single-bottleneck closed form and a removal-only frozen-prefix
+  // replay. Rates are bit-identical to the cold `incremental = false` path.
   double fallback_fraction = 0.5;
-  // Above the fallback fraction, re-solve the whole active set *in place*
-  // over the persistently maintained flow/link incidence (warm start,
-  // DESIGN.md §9): no BFS completion, no id sort, no CSR repack, plus a
-  // solution memo and a removal-only frozen-prefix replay. Rates are
-  // bit-identical to the cold path. `false` restores the PR 5 behaviour —
-  // a cold full re-solve — which stays available as the reference oracle.
-  bool warm_start = true;
   // Apply solver results through the change-list write-back (DESIGN.md §9):
   // only flows whose computed rate differs from the applied rate reach
   // `set_rate`, and same-instant uniform (single-bottleneck) rates coalesce
@@ -111,7 +110,8 @@ class FlowSim {
   // flow was added or removed. Links not carried by any active flow are
   // ignored; out-of-range ids throw. The caller bumps the overlay epoch
   // (set_link_capacity/set_link_capacities) *before* calling this, which is
-  // what retires the warm memo and the single-bottleneck summary.
+  // what retires the single-bottleneck summary and the frozen-prefix
+  // metadata.
   void notify_capacity_change(const std::vector<int>& links);
 
   // Zero-rate flows currently parked (StallPolicy::Stall) / removed so far
@@ -122,25 +122,27 @@ class FlowSim {
 
   // Solver-effort accounting, fed by every resolve; plumbed into
   // bench/micro_flowsim and the heap-churn tests.
+  //
+  // `fallback_solves`, `warm_memo_hits`, `warm_memo_stale` and
+  // `parallel_scans` are always 0: the cold fallback, the warm solution
+  // memo and the parallel min-share scan they counted were removed. They
+  // stay declared only because the xbench harness still reads them; the
+  // next benchmark change drops them.
   struct Stats {
     std::uint64_t resolves = 0;          // resolve passes over a non-empty set
     std::uint64_t full_solves = 0;       // whole-set solves (incremental off)
-    std::uint64_t fallback_solves = 0;   // threshold exceeded, cold full solve
+    std::uint64_t fallback_solves = 0;   // always 0 (see above)
     std::uint64_t warm_solves = 0;       // threshold exceeded, warm-start solve
     std::uint64_t warm_single_hits = 0;  // single-bottleneck closed-form solves
-    std::uint64_t warm_memo_hits = 0;    // warm solves replayed from the memo
-    std::uint64_t warm_memo_stale = 0;   // memo generations skipped: epoch moved
+    std::uint64_t warm_memo_hits = 0;    // always 0 (see above)
+    std::uint64_t warm_memo_stale = 0;   // always 0 (see above)
     std::uint64_t warm_prefix_hits = 0;  // warm solves that replayed a prefix
     std::uint64_t component_solves = 0;  // restricted re-solves
     std::uint64_t flows_solved = 0;      // flows handed to the solver, total
     std::uint64_t frontier_flows = 0;    // flows actually iterated warm-start
     std::uint64_t solver_iterations = 0;
     std::uint64_t bottleneck_links = 0;
-    // Water-filling iterations whose min-share scan crossed the
-    // SolverTuning::parallel_scan_threshold gate and ran as a chunked
-    // parallel reduce over the dense SoA (scan_engaged% in the bench
-    // counters = parallel_scans / solver_iterations).
-    std::uint64_t parallel_scans = 0;
+    std::uint64_t parallel_scans = 0;  // always 0 (see above)
     std::uint64_t largest_component = 0;
     // Rate write-back accounting: `applied` counts solver results that
     // actually changed a flow's rate (a `set_rate` that does work),
@@ -229,17 +231,17 @@ class FlowSim {
   void remove_flow(int slot);  // unlinks + frees the slot; marks links dirty
   void set_rate(int slot, double rate);
   // Fills `comp_slots_` with the slots of every flow reachable from the
-  // dirty links via shared-link adjacency, ascending flow-id order. When
-  // `max_flows` >= 0 the BFS stops (and skips the sort — `comp_truncated_`
-  // is set, the contents are only a size witness) as soon as the component
-  // provably exceeds the fallback threshold.
+  // dirty links via shared-link adjacency, ascending flow-id order. The BFS
+  // stops (and skips the sort — `comp_truncated_` is set, the contents are
+  // only a size witness) as soon as the component provably holds more than
+  // `max_flows` flows.
   void affected_component(double max_flows);
-  // Whole-active-set warm-start solve (DESIGN.md §9): memo lookup, then
-  // removal-only frozen-prefix replay, then in-place water-filling over the
-  // persistent flow/link incidence. Bit-identical to the cold full solve.
+  // Whole-active-set warm-start solve (DESIGN.md §9): single-bottleneck
+  // closed form, then removal-only frozen-prefix replay, then in-place
+  // water-filling over the persistent flow/link incidence. Bit-identical to
+  // the cold full solve.
   void warm_solve(SolveStats* ss);
   void warm_record_removal(int slot);
-  bool warm_memo_lookup();  // true on hit; rates already applied
   // Single-bottleneck closed form: if exactly one live link fires under the
   // water-filling cutoff computed against the *initial* state and every
   // active flow crosses it, the whole solve collapses to rate = min_share
@@ -259,7 +261,7 @@ class FlowSim {
   double remaining_eff_at(const Flow& f, double t) const;
   void note_writeback(std::uint64_t applied, std::uint64_t skipped);
   // Same, seeded from one flow under the caller's visit epoch — the full
-  // solve sweeps components with this so fallbacks stay allocation-free.
+  // solve sweeps components with this so it stays allocation-free.
   void component_from(int seed);
   void solve_component(const std::vector<int>& comp, SolveStats* ss);
   void resolve_and_schedule();
@@ -312,9 +314,7 @@ class FlowSim {
   std::vector<double> warm_aw_;             // [position] unfrozen crossers
   std::vector<double> warm_rate_;           // [slot] rate solved this pass
   std::vector<std::uint64_t> warm_frozen_;  // [slot] == warm_pass_: frozen
-  std::vector<std::uint64_t> warm_batch_;   // [slot] parallel-update stamp
   std::uint64_t warm_pass_ = 0;
-  std::uint64_t warm_batch_epoch_ = 0;
   // Frozen-prefix metadata from the previous warm solve (freeze order and
   // 1-based freeze level per slot), valid while `warm_meta_ok_` holds and
   // the delta since then is removal-only with min removed level > 1.
@@ -328,18 +328,6 @@ class FlowSim {
   int delta_min_level_ = 0;      // 0 = no removals since last warm solve
   bool delta_has_add_ = false;
   bool delta_meta_broken_ = false;
-  // Two-generation solution memo keyed on the exact member path stream (id
-  // order) + capacity epoch: repeated traffic shapes replay their rate
-  // vector wholesale with an empty frontier.
-  struct WarmMemo {
-    bool valid = false;
-    std::uint64_t cap_epoch = 0;
-    std::vector<int> stream;    // concatenated member paths, id order
-    std::vector<int> offsets;   // [members + 1] into stream
-    std::vector<double> rates;  // per member, id order
-  };
-  WarmMemo memo_[2];
-  int memo_next_ = 0;
   // --- incremental write-back (DESIGN.md §9) ----------------------------
   // Change-list the warm water-filling loop builds while freezing: slots
   // whose computed rate differs from the currently applied rate (or that

@@ -14,16 +14,6 @@
 namespace xscale::net {
 
 namespace {
-// Process-wide tuning. Read once per solve on the calling thread (worker
-// chunks never consult it), so mutation while solves are in flight is a
-// caller error — same contract as sim::set_thread_count.
-SolverTuning g_tuning;
-}  // namespace
-
-const SolverTuning& solver_tuning() { return g_tuning; }
-void set_solver_tuning(const SolverTuning& t) { g_tuning = t; }
-
-namespace {
 
 // Malformed inputs must not silently become garbage rates (NaN capacities
 // survive the share arithmetic as 0 via std::max, and with -DNDEBUG a bare
@@ -100,34 +90,19 @@ std::vector<double> solve_core_reference(
     }
   }
 
-  const double inf = std::numeric_limits<double>::infinity();
-  auto scan_min = [&](std::size_t b, std::size_t e) {
-    double m = inf;
-    for (std::size_t i = b; i < e; ++i) {
-      const auto lu = static_cast<std::size_t>(active_links[i]);
-      if (active_w[lu] <= 0.0) continue;
-      m = std::min(m, std::max(0.0, residual[lu]) / active_w[lu]);
-    }
-    return m;
-  };
-
-  const SolverTuning& tun = solver_tuning();
   std::size_t remaining = nf;
   std::int64_t iterations = 0;
   std::int64_t bottlenecks = 0;
-  std::int64_t parallel_scans = 0;
   while (remaining > 0) {
     ++iterations;
     // Find the smallest per-weight share among links with unfrozen flows.
-    // min is exact for doubles, so chunked parallel scan == serial scan.
-    const bool par_scan = active_links.size() >= tun.parallel_scan_threshold;
-    if (par_scan) ++parallel_scans;
-    const double min_share =
-        par_scan
-            ? sim::parallel_reduce(
-                  active_links.size(), tun.scan_grain, inf, scan_min,
-                  [](double a, double b) { return std::min(a, b); })
-            : scan_min(0, active_links.size());
+    double min_share = std::numeric_limits<double>::infinity();
+    for (int l : active_links) {
+      const auto lu = static_cast<std::size_t>(l);
+      if (active_w[lu] <= 0.0) continue;
+      min_share =
+          std::min(min_share, std::max(0.0, residual[lu]) / active_w[lu]);
+    }
     // No link constrains the remaining flows (e.g. every unfrozen flow has
     // weight 0, so its links never activate): there is no finite max-min
     // allocation.
@@ -174,7 +149,6 @@ std::vector<double> solve_core_reference(
   if (stats) {
     stats->iterations = iterations;
     stats->bottleneck_links = bottlenecks;
-    stats->parallel_scans = parallel_scans;
   }
   return rate;
 }
@@ -716,7 +690,6 @@ std::vector<double> max_min_rates_components(
     for (const SolveStats& cs : comp_stats) {
       stats->iterations += cs.iterations;
       stats->bottleneck_links += cs.bottleneck_links;
-      stats->parallel_scans += cs.parallel_scans;
       stats->link_updates += cs.link_updates;
     }
   }

@@ -26,55 +26,14 @@
 
 namespace xscale::net {
 
-// Parallelisation gates of FlowSim's warm-start solve (flowsim.cpp runs the
-// scan-based water-filling loop over its persistent incidence, DESIGN.md §9)
-// and of the scan in `max_min_rates_reference`. The CSR core
-// (`max_min_rates_csr`) is serial (scan first, then heap); it reads none
-// of these.
-// Below parallel_scan_threshold active links the serial min-scan wins;
-// above it the scan is farmed out in scan_grain-link chunks (min over
-// doubles is exact and order-independent, so the parallel reduce returns
-// the same bits). A single firing link freezing at least
-// parallel_update_min flows has its residual / active-weight updates
-// applied by a parallel per-link sweep instead of the serial per-flow walk.
-// Only batches from ONE firing link qualify: within such a batch the
-// subtraction order projected onto any other link is ascending flow id —
-// exactly the incidence order — so the parallel sweep performs the same
-// subtractions per link in the same order and the result is bit-identical
-// to the serial path (the gates depend only on problem state, never on the
-// thread count — and never on which scan kernel is dispatched).
-//
-// Defaults come from the ISSUE 10 crossover sweep (DESIGN.md §9 records the
-// measurements and derivation). Summary: the SIMD kernel scans at ~1
-// ns/link (scalar ~2), one pool fork/join region costs ~2-9 µs depending on
-// host and thread count, so the 4-thread scan break-even sits at ~3-8k
-// links — the pre-SIMD 4096 threshold is still mid-band and stays (a
-// cheaper serial baseline RAISES the scan crossover; it does not lower it).
-// The update gate moves instead: one batched-update item is a whole path's
-// subtractions (~15-30 ns, ~10x a scan link), so its measured crossover is
-// ~300-500 flows and the gate drops 2048 -> 512. scan_grain halves to 1024:
-// a chunk is then ~1-2 µs of kernel work, still far above per-chunk
-// queueing cost, with half the tail imbalance. Override via
-// set_solver_tuning (only while no solve is in flight, same contract as
-// sim::set_thread_count).
-struct SolverTuning {
-  std::size_t parallel_scan_threshold = 4096;
-  std::size_t scan_grain = 1024;
-  std::size_t parallel_update_min = 512;
-};
-const SolverTuning& solver_tuning();
-void set_solver_tuning(const SolverTuning& t);
-
 struct SolveStats {
   // int64: per-component totals accumulated across long churn runs overflow
   // 32 bits (a week-long storage campaign re-solves billions of times).
   std::int64_t iterations = 0;
   std::int64_t bottleneck_links = 0;
-  // Scan-based solves only (FlowSim's warm path and the reference):
-  // water-filling iterations whose min-share scan crossed the
-  // parallel_scan_threshold gate and ran as a chunked parallel reduce
-  // (scan_engaged% in the bench counters = parallel_scans / iterations).
-  // Always 0 from the CSR core, which is serial.
+  // Always 0: every water-filling loop is serial (the chunked parallel
+  // min-share scan was removed). Kept only because the xbench harness still
+  // reads it; the next benchmark change drops it.
   std::int64_t parallel_scans = 0;
   // CSR core only: link shares re-evaluated — heap re-keys plus
   // candidate-queue re-tests on the heap loop, live links swept on the scan

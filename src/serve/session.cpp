@@ -13,11 +13,8 @@ net::FlowSim::Stats stats_delta(const net::FlowSim::Stats& after,
   net::FlowSim::Stats d;
   d.resolves = after.resolves - before.resolves;
   d.full_solves = after.full_solves - before.full_solves;
-  d.fallback_solves = after.fallback_solves - before.fallback_solves;
   d.warm_solves = after.warm_solves - before.warm_solves;
   d.warm_single_hits = after.warm_single_hits - before.warm_single_hits;
-  d.warm_memo_hits = after.warm_memo_hits - before.warm_memo_hits;
-  d.warm_memo_stale = after.warm_memo_stale - before.warm_memo_stale;
   d.warm_prefix_hits = after.warm_prefix_hits - before.warm_prefix_hits;
   d.component_solves = after.component_solves - before.component_solves;
   d.flows_solved = after.flows_solved - before.flows_solved;

@@ -51,8 +51,7 @@ struct ScenarioResult {
   std::vector<double> completion_s;
   double makespan_s = 0;
   std::uint64_t dropped = 0;
-  // Solver-effort delta for this scenario (memo/warm hit accounting — the
-  // serving tests read `warm_memo_stale` to prove sibling isolation).
+  // Solver-effort delta for this scenario (warm-path hit accounting).
   net::FlowSim::Stats stats;
   // Overlay epoch after applying the scenario (diff-applied: identical
   // repeated scenarios leave it unchanged).

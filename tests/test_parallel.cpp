@@ -124,19 +124,15 @@ TEST(ThreadPool, ParallelEmitConcatenatesInChunkOrder) {
   EXPECT_EQ(serial, emit());
 }
 
-// One firing link freezing more than parallel_update_min flows, in a
-// problem big enough to open the reference's parallel scan gate. The CSR
-// core is serial; the reference scans in parallel chunks
-// here. The last 50 flows ride private links that the big batch subtracts
-// from, so their level-2 rates expose any wrong or misordered subtraction.
-// Must be bit-identical to the reference at every thread count.
-TEST(ThreadPool, SolverBatchUpdatePathMatchesReferenceAcrossThreads) {
+// One firing link freezing 2,050 flows in a problem over 4,000 links. The
+// last 50 flows ride private links that the big batch subtracts from, so
+// their level-2 rates expose any wrong or misordered subtraction. Must be
+// bit-identical to the reference at every thread count.
+TEST(ThreadPool, SolverWideIncastMatchesReferenceAcrossThreads) {
   ThreadCountGuard guard;
   const std::size_t incast = 2050;
   const std::size_t extras = 50;
   const std::size_t num_links = 1 + 2 * incast;  // 4101
-  ASSERT_GE(num_links, net::solver_tuning().parallel_scan_threshold);
-  ASSERT_GT(incast, net::solver_tuning().parallel_update_min);
   std::vector<double> caps(num_links, 25e9);
   caps[0] = 10e9;  // shared bottleneck: fires first, freezes all incast flows
   std::vector<std::vector<int>> paths;

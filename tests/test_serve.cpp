@@ -317,12 +317,9 @@ TEST(ServeAcceptance, SixtyFourSessionsOneSnapshotZeroSiblingInvalidation) {
       << "sibling churn must not invalidate the shared route cache";
   const auto& solo_res = solo[static_cast<std::size_t>(ids[0])];
   ASSERT_EQ(solo_res.size(), 1u);
-  //  - session 0 never mutated its overlay: epoch pinned at 0;
-  //  - no session ever saw its warm memo invalidated by someone else's
-  //    fail/restore: the stale counter can only move when the session's OWN
-  //    epoch moves, and session 0's never did.
+  // Session 0 never mutated its overlay, and no sibling's fail/restore
+  // reached it: its epoch is pinned at 0.
   EXPECT_EQ(batcher.session(ids[0])->fabric().capacity_epoch(), 0u);
-  EXPECT_EQ(batcher.session(ids[0])->flowsim().stats().warm_memo_stale, 0u);
   // And the repeat is bitwise-stable.
   EXPECT_EQ(first[static_cast<std::size_t>(ids[0])][0].makespan_s,
             solo_res[0].makespan_s);
@@ -392,7 +389,6 @@ TEST(ServeRotor, SlotChurnSessionsLeaveSiblingUntouched) {
   EXPECT_EQ(miss_before, miss_after)
       << "sibling slot churn must not invalidate the shared route cache";
   EXPECT_EQ(batcher.session(ids[0])->fabric().capacity_epoch(), 0u);
-  EXPECT_EQ(batcher.session(ids[0])->flowsim().stats().warm_memo_stale, 0u);
   // Bitwise-stable repeat for the slot-0 sibling.
   const auto& solo_res = solo[static_cast<std::size_t>(ids[0])];
   ASSERT_EQ(solo_res.size(), 1u);
@@ -538,18 +534,17 @@ TEST(ServeSession, RepeatedScenarioIsDiffAppliedAndEpochStable) {
   ASSERT_EQ(r1.completion_s.size(), r2.completion_s.size());
   for (std::size_t i = 0; i < r1.completion_s.size(); ++i)
     EXPECT_EQ(r1.completion_s[i], r2.completion_s[i]);
-  EXPECT_EQ(r2.stats.warm_memo_stale, 0u);
 }
 
 TEST(ServeSession, RepeatedScenarioIsAllocationFreeAndReusesScratch) {
   auto snap = net::make_snapshot(small_topology(), minimal_cfg());
-  // warm_start off: every resolve takes the full-solve path through
+  // incremental off: every resolve takes the full-solve path through
   // solve_component — the one site that feeds `net.solver.scratch_reuse` —
   // so the counter proves the per-session SolveScratch (and the component
   // CSR/caps/rates arenas around it) survives across scenarios instead of
   // being rebuilt per resolve.
   net::FlowSimConfig cfg = serve::ScenarioSession::default_sim_config();
-  cfg.warm_start = false;
+  cfg.incremental = false;
   serve::ScenarioSession session(snap, cfg);
   const auto stream = scenario_stream(snap->topology(), 2);
   const serve::Scenario& sc = stream[0];
