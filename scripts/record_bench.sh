@@ -97,7 +97,10 @@ for name in ("micro_flowsim", "micro_simcore", "micro_serve"):
                   "link_updates/solve", "iterations/solve"):
             if k in b:
                 entry[k] = round(b[k], 6)
-        snapshot["benchmarks"][f"{name}/{b['name']}"] = entry
+        # UseRealTime() rows carry a "/real_time" suffix; drop it so row
+        # names stay comparable across snapshots and gates.
+        row = b["name"].removesuffix("/real_time")
+        snapshot["benchmarks"][f"{name}/{row}"] = entry
 
 with open(out, "w") as f:
     json.dump(snapshot, f, indent=1, sort_keys=True)

@@ -22,8 +22,8 @@
 // shared cache holds failure-free routes; an overlay with failed global
 // bundles recomputes just the broken paths on the fly). Both calls are
 // idempotent and bounds-checked: failing an already-failed link or restoring
-// a live one is a no-op that leaves the epoch — and every consumer memo keyed
-// on it — untouched.
+// a live one is a no-op that leaves the epoch — and every consumer state
+// keyed on it — untouched.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +68,9 @@ class FabricOverlay {
 
   // Bumped on every *effective* mutation (fail, restore, capacity override,
   // clear). No-ops — repeated fails, restores of live links, overriding with
-  // the value already in place — do not bump it, so consumer memos keyed on
-  // the epoch (FlowSim's warm-start memo) survive redundant calls.
+  // the value already in place — do not bump it, so consumer state keyed on
+  // the epoch (FlowSim's single-bottleneck summary and frozen-prefix
+  // metadata) survives redundant calls.
   std::uint64_t capacity_epoch() const { return cap_epoch_; }
 
   // All return whether anything changed (false = no-op). Out-of-range link
@@ -84,8 +85,8 @@ class FabricOverlay {
   // Batched capacity overrides: applies every (link, capacity) pair but bumps
   // the epoch AT MOST ONCE for the whole batch (zero times if every pair is a
   // no-op). A rotor slot transition re-prices one matching off and another on
-  // through this call, so consumer memos see exactly one staleness event per
-  // slot instead of one per link.
+  // through this call, so epoch-keyed consumer state sees exactly one
+  // staleness event per slot instead of one per link.
   bool set_link_capacities(const std::vector<std::pair<int, double>>& updates);
   // Remove a capacity override, returning the link to its base capacity.
   bool clear_link_capacity(int link_id);
@@ -205,8 +206,9 @@ class Fabric {
 
   // Bumped on every effective overlay mutation — per-overlay, never global.
   // Consumers that cache anything derived from `effective_capacities()`
-  // (FlowSim's warm-start memo and frozen-prefix metadata) compare epochs
-  // instead of diffing the vector; sibling sessions' epochs never move.
+  // (FlowSim's single-bottleneck summary and frozen-prefix metadata) compare
+  // epochs instead of diffing the vector; sibling sessions' epochs never
+  // move.
   std::uint64_t capacity_epoch() const { return overlay_.capacity_epoch(); }
 
  private:

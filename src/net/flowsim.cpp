@@ -463,54 +463,15 @@ void FlowSim::affected_component(double max_flows) {
   });
 }
 
-void FlowSim::component_from(int seed) {
-  // Connected component containing `seed`, under the caller's current
-  // `visit_epoch_` (marks persist across calls so a full-solve sweep visits
-  // each component exactly once). Same traversal and ordering as
-  // `affected_component`, seeded from a flow instead of dirty links.
-  comp_slots_.clear();
-  link_q_.clear();
-  Flow& sf = slots_[static_cast<std::size_t>(seed)];
-  sf.visit_epoch = visit_epoch_;
-  comp_slots_.push_back(seed);
-  for (int pl : sf.path) {
-    const auto plu = static_cast<std::size_t>(pl);
-    if (link_visit_epoch_[plu] != visit_epoch_) {
-      link_visit_epoch_[plu] = visit_epoch_;
-      link_q_.push_back(pl);
-    }
-  }
-  while (!link_q_.empty()) {
-    const int l = link_q_.back();
-    link_q_.pop_back();
-    for (int s : flows_on_link_[static_cast<std::size_t>(l)]) {
-      Flow& f = slots_[static_cast<std::size_t>(s)];
-      if (f.visit_epoch == visit_epoch_) continue;
-      f.visit_epoch = visit_epoch_;
-      comp_slots_.push_back(s);
-      for (int pl : f.path) {
-        const auto plu = static_cast<std::size_t>(pl);
-        if (link_visit_epoch_[plu] != visit_epoch_) {
-          link_visit_epoch_[plu] = visit_epoch_;
-          link_q_.push_back(pl);
-        }
-      }
-    }
-  }
-  std::sort(comp_slots_.begin(), comp_slots_.end(), [this](int a, int b) {
-    return slots_[static_cast<std::size_t>(a)].id <
-           slots_[static_cast<std::size_t>(b)].id;
-  });
-}
-
 void FlowSim::solve_component(const std::vector<int>& comp, SolveStats* ss) {
   // Pack a compact sub-problem into the persistent CSR arena: only the
-  // component's links, densely renumbered in first-encounter order
-  // (ascending flow id), which makes the restricted solve's arithmetic
-  // identical to the full solve's — within a component the full solver
-  // performs exactly the same operations in the same order, and flows
-  // outside it never touch these links. The link remap is epoch-stamped, so
-  // packing costs O(component nnz) with no clearing pass.
+  // links of `comp` (a component, or the whole active set), densely
+  // renumbered in first-encounter order (ascending flow id), which makes a
+  // component solve's arithmetic identical to the global solve's — within a
+  // component the global solver performs exactly the same operations in the
+  // same order, and flows outside it never touch these links. The link remap
+  // is epoch-stamped, so packing costs O(nnz of `comp`) with no clearing
+  // pass.
   ++remap_epoch_;
   const std::size_t caps_cap = comp_caps_.capacity();
   const std::size_t ids_cap = comp_csr_.link_ids.capacity();
@@ -675,6 +636,27 @@ void FlowSim::park_uniform(double rate) {
   pending_rate_ = rate;
 }
 
+bool FlowSim::park_single(double share, SolveStats* ss) {
+  // Parking skips set_rate, so it is exact only where set_rate would do no
+  // stall bookkeeping at this instant: no stalled survivor to wake and a
+  // positive rate. Reference mode (`incremental_writeback = false`) writes
+  // every rate by definition. In all three cases the general warm loop runs
+  // instead; it freezes every flow at `share` in its one iteration.
+  if (!cfg_.incremental_writeback || stalled_ != 0 || !(share > 0.0))
+    return false;
+  // Same-instant re-parks coalesce (zero-width segments do no accrual
+  // arithmetic in the eager path either).
+  park_uniform(share);
+  ss->iterations = 1;
+  ss->bottleneck_links = 1;
+  ++stats_.warm_single_hits;
+  static obs::ShardedStats& frontier_stat =
+      obs::metrics().stats("net.solver.frontier_size");
+  frontier_stat.add(0.0);
+  warm_meta_ok_ = false;  // no fresh freeze metadata this pass
+  return true;
+}
+
 int FlowSim::try_single_incremental(SolveStats* ss) {
   // Single-bottleneck verdict from the maintained top-2 share summary,
   // touching only this resolve's dirty links. Soundness rests on two facts:
@@ -684,116 +666,61 @@ int FlowSim::try_single_incremental(SolveStats* ss) {
   // churned flow crosses the bottleneck, dirtying it). `pending` rates are
   // irrelevant here — the verdict reads only capacities and incidence
   // counts, both maintained eagerly.
-  if (!sb_valid_ || stalled_ != 0 || sb_l1_ < 0) return -1;
+  if (!sb_valid_ || stalled_ != 0 || sb_.l1 < 0) return -1;
   if (fabric_.capacity_epoch() != sb_cap_epoch_) {
     sb_valid_ = false;
     return -1;
   }
-  const double inf = std::numeric_limits<double>::infinity();
-  const bool l1_dirty = link_dirty_[static_cast<std::size_t>(sb_l1_)] != 0;
+  const bool l1_dirty = link_dirty_[static_cast<std::size_t>(sb_.l1)] != 0;
   const bool l2_dirty =
-      sb_l2_ >= 0 && link_dirty_[static_cast<std::size_t>(sb_l2_)] != 0;
-  // Exact minimum share over clean (non-dirty) links, and whether the
-  // clean runner-up is also known exactly.
-  double c1 = inf, c2 = inf;
-  int c1l = -1, c2l = -1;
-  bool c2_known = false;
-  if (!l1_dirty) {
-    c1 = sb_min1_;
-    c1l = sb_l1_;
-    if (sb_l2_ < 0 || !l2_dirty) {
-      c2 = sb_l2_ >= 0 ? sb_min2_ : inf;
-      c2l = sb_l2_;
-      c2_known = true;
-    }
-  } else if (sb_l2_ >= 0 && !l2_dirty) {
-    c1 = sb_min2_;
-    c1l = sb_l2_;
-  } else if (sb_l2_ >= 0) {
-    // Both ranked links churned: the clean minimum is unknowable.
+      sb_.l2 >= 0 && link_dirty_[static_cast<std::size_t>(sb_.l2)] != 0;
+  // Both ranked links churned: the clean minimum is unknowable.
+  if (l1_dirty && l2_dirty) {
     sb_valid_ = false;
     return -1;
-  } else {
-    c2_known = true;  // the only live link was sb_l1_, now dirty: no clean links
   }
+  // The clean ranked links, exactly. Every clean link the summary does not
+  // rank has a share >= sb_.s2: it ranked no better when the summary was
+  // exact and has not changed since. So `clean.s1` is the exact minimum
+  // over clean links.
+  Top2 clean;
+  if (!l1_dirty) clean.add(sb_.s1, sb_.l1);
+  if (sb_.l2 >= 0 && !l2_dirty) clean.add(sb_.s2, sb_.l2);
 
   // Fresh top-2 among dirty links (emptied links are no longer constraints;
   // their lazy compaction stays with the full scan).
   const auto& caps = fabric_.effective_capacities();
-  double d1 = inf, d2 = inf;
-  int d1l = -1, d2l = -1;
+  Top2 dirty;
   for (int l : dirty_links_) {
     const auto lu = static_cast<std::size_t>(l);
     const std::size_t n = flows_on_link_[lu].size();
     if (n == 0) continue;
     const double c = caps[lu];
     if (!std::isfinite(c) || c < 0.0) return -1;  // full scan diagnoses
-    const double share = std::max(0.0, c) / static_cast<double>(n);
-    if (share < d1) {
-      d2 = d1;
-      d2l = d1l;
-      d1 = share;
-      d1l = l;
-    } else if (share < d2) {
-      d2 = share;
-      d2l = l;
-    }
+    dirty.add(std::max(0.0, c) / static_cast<double>(n), l);
   }
 
-  const double m = std::min(c1, d1);
+  const double m = std::min(clean.s1, dirty.s1);
   if (!std::isfinite(m)) return -1;
-  const double cutoff = m;  // exact ties only, matching the solver cores
-  int verdict;
-  if (c1 <= cutoff) {
-    // A clean link fires. It cannot carry every active flow (the churned
-    // flow would have dirtied it), so the full scan would reject too:
-    // either several links fire or the firing one misses flows.
-    verdict = 0;
-  } else if (d2 <= cutoff) {
-    verdict = 0;  // >= 2 dirty links fire
-  } else if (flows_on_link_[static_cast<std::size_t>(d1l)].size() !=
-             active_order_.size()) {
-    verdict = 0;
-  } else {
-    verdict = 1;
-  }
+  // Exact ties only, matching the solver cores. A firing clean link cannot
+  // carry every active flow (the churned flow would have dirtied it), so
+  // the full scan would reject too: either several links fire or the
+  // firing one misses flows. Two firing dirty links reject as well.
+  const int verdict =
+      clean.s1 <= m || dirty.s2 <= m ||
+              flows_on_link_[static_cast<std::size_t>(dirty.l1)].size() !=
+                  active_order_.size()
+          ? 0
+          : 1;
 
-  // Refresh the summary to the exact post-churn top-2 where derivable:
-  // merge the clean top-2 (partially known) with the dirty top-2.
-  double n1, n2;
-  int n1l, n2l;
-  bool exact = true;
-  if (d1 <= c1) {
-    n1 = d1;
-    n1l = d1l;
-    if (d2 <= c1) {
-      n2 = d2;
-      n2l = d2l;
-    } else {
-      n2 = c1;
-      n2l = c1l;
-    }
-  } else {
-    n1 = c1;
-    n1l = c1l;
-    // Runner-up is min(d1, clean second) — needs the clean second exactly.
-    if (c2_known && c2 <= d1) {
-      n2 = c2;
-      n2l = c2l;
-    } else if (c2_known || d1 <= c2) {
-      n2 = d1;
-      n2l = d1l;
-    } else {
-      exact = false;
-      n1 = n2 = 0.0;
-      n1l = n2l = -1;
-    }
-  }
-  if (exact && n1l >= 0) {
-    sb_min1_ = n1;
-    sb_l1_ = n1l;
-    sb_min2_ = n2;
-    sb_l2_ = std::isfinite(n2) ? n2l : -1;
+  // Refresh the summary to the post-churn top-2. The merge is exact unless
+  // an unranked clean link (share >= the old sb_.s2) could beat its
+  // runner-up.
+  Top2 merged = dirty;
+  merged.add(clean.s1, clean.l1);
+  merged.add(clean.s2, clean.l2);
+  if (merged.s2 <= sb_.s2) {
+    sb_ = merged;
     sb_updated_ = true;
   } else {
     sb_valid_ = false;
@@ -803,19 +730,10 @@ int FlowSim::try_single_incremental(SolveStats* ss) {
   static obs::Counter& incr =
       obs::metrics().counter("net.solver.minshare.incr_scan");
   incr.inc();
-  if (verdict != 1) return verdict;
-  // A zero uniform rate stalls every flow — that path (stall counters,
-  // traces, Drop sweeps) must stay eager; let the full machinery run it.
-  if (!(m > 0.0)) return -1;
-
-  // Single bottleneck: park the uniform rate; same-instant re-parks coalesce
-  // (zero-width segments do no accrual arithmetic in the eager path either).
-  park_uniform(m);
-  if (ss) {
-    ss->iterations = 1;
-    ss->bottleneck_links = 1;
-  }
-  return 1;
+  if (verdict != 1) return 0;
+  // A declined park (zero share) is still conclusive: the full scan would
+  // only reach the same verdict, so the general warm loop runs directly.
+  return park_single(m, ss) ? 1 : 0;
 }
 
 bool FlowSim::warm_single_bottleneck(SolveStats* ss) {
@@ -836,9 +754,7 @@ bool FlowSim::warm_single_bottleneck(SolveStats* ss) {
   // Any failed condition returns false and the general path runs instead —
   // the check costs one O(live links) pass, no per-flow work.
   const auto& caps = fabric_.effective_capacities();
-  const double inf = std::numeric_limits<double>::infinity();
-  double min_share = inf, second_share = inf;
-  int min_link = -1, second_link = -1;
+  Top2 top;
   std::size_t w = 0;
   bool bad_capacity = false;
   for (std::size_t i = 0; i < live_links_.size(); ++i) {
@@ -859,16 +775,7 @@ bool FlowSim::warm_single_bottleneck(SolveStats* ss) {
       bad_capacity = true;
       continue;
     }
-    const double share = std::max(0.0, c) / static_cast<double>(n);
-    if (share < min_share) {
-      second_share = min_share;
-      second_link = min_link;
-      min_share = share;
-      min_link = l;
-    } else if (share < second_share) {
-      second_share = share;
-      second_link = l;
-    }
+    top.add(std::max(0.0, c) / static_cast<double>(n), l);
   }
   live_links_.resize(w);
   if (bad_capacity)
@@ -876,60 +783,23 @@ bool FlowSim::warm_single_bottleneck(SolveStats* ss) {
         "max_min_rates: capacities must be finite and >= 0");
   // The pass just computed the exact top-2 min shares over live links: store
   // them so the next resolve's incremental verdict can skip this scan.
-  sb_min1_ = min_share;
-  sb_l1_ = min_link;
-  sb_min2_ = second_share;
-  sb_l2_ = std::isfinite(second_share) ? second_link : -1;
+  sb_ = top;
   sb_cap_epoch_ = fabric_.capacity_epoch();
-  sb_valid_ = min_link >= 0;
+  sb_valid_ = top.l1 >= 0;
   sb_updated_ = true;
   ++stats_.minshare_full;
   static obs::Counter& full_scan =
       obs::metrics().counter("net.solver.minshare.full_scan");
   full_scan.inc();
-  if (!std::isfinite(min_share)) return false;  // general path will diagnose
-  const double cutoff = min_share;  // exact ties only, matching the cores
-  // "Exactly one link fires" is a top-2 question: the minimum always fires,
-  // so uniqueness is `second_share > cutoff` — same verdict as the old
-  // counting pass, without re-walking the live list.
-  if (second_share <= cutoff ||
-      flows_on_link_[static_cast<std::size_t>(min_link)].size() !=
+  if (!std::isfinite(top.s1)) return false;  // general path will diagnose
+  // "Exactly one link fires" (exact ties only, matching the cores) is a
+  // top-2 question: the minimum always fires, so uniqueness is
+  // `s2 > s1`.
+  if (top.s2 <= top.s1 ||
+      flows_on_link_[static_cast<std::size_t>(top.l1)].size() !=
           active_order_.size())
     return false;
-  if (ss) {
-    ss->iterations = 1;
-    ss->bottleneck_links = 1;
-  }
-  // Park, don't write: the closed form's uniform rate goes through the same
-  // lazy coalescing as the incremental verdict, so even resolves that had to
-  // pay this full scan (summary invalidated by churn on both ranked links)
-  // contribute ~1 materialised write per churn instead of one per active
-  // flow. A zero rate or a stalled survivor needs set_rate's stall
-  // bookkeeping at *this* instant — those stay eager, as does reference
-  // mode (`incremental_writeback = false`, the whole-set write).
-  if (cfg_.incremental_writeback && stalled_ == 0 && min_share > 0.0) {
-    park_uniform(min_share);
-    return true;
-  }
-  // Eager write: settle any parked rate first — the early-out comparison and
-  // set_rate's accrual both read `f.rate`. (Reference mode never parks; this
-  // matters for the zero-rate / stalled cases reached after a same-instant
-  // park, e.g. a capacity failure landing in the instant of a start burst.)
-  materialize_pending();
-  std::uint64_t applied = 0;
-  for (int s : active_order_) {
-    const Flow& f = slots_[static_cast<std::size_t>(s)];
-    const bool noop = min_share == f.rate && (min_share > 0.0 || f.stalled);
-    if (!noop) {
-      set_rate(s, min_share);
-      ++applied;
-    } else if (!cfg_.incremental_writeback) {
-      set_rate(s, min_share);
-    }
-  }
-  note_writeback(applied,
-                 static_cast<std::uint64_t>(active_order_.size()) - applied);
-  return true;
+  return park_single(top.s1, ss);
 }
 
 void FlowSim::warm_solve(SolveStats* ss) {
@@ -945,20 +815,12 @@ void FlowSim::warm_solve(SolveStats* ss) {
   // unit-weight here; the frozen-prefix replay relies on that.
   const std::size_t members = active_order_.size();
   const std::uint64_t cap_epoch = fabric_.capacity_epoch();
-  static obs::Counter& warm_hits =
-      obs::metrics().counter("net.solver.warmstart.hit");
   static obs::ShardedStats& frontier_stat =
       obs::metrics().stats("net.solver.frontier_size");
-  warm_hits.inc();
 
   // A conclusive incremental "no" verdict from `try_single_incremental`
   // makes the full O(live links) scan pointless this resolve.
-  if (!sb_skip_full_ && warm_single_bottleneck(ss)) {
-    ++stats_.warm_single_hits;
-    frontier_stat.add(0.0);
-    warm_meta_ok_ = false;  // no fresh freeze metadata this pass
-    return;
-  }
+  if (!sb_skip_full_ && warm_single_bottleneck(ss)) return;
 
   // From here on the solve compares against and writes `f.rate` (through
   // set_rate): the parked uniform rate must be settled first or the
@@ -1189,7 +1051,7 @@ void FlowSim::resolve_and_schedule() {
   }
   ++stats_.resolves;
 
-  bool full = !cfg_.incremental;
+  const bool full = !cfg_.incremental;
   bool warm = false;
   bool lazy = false;  // single-bottleneck verdict resolved without a solve
   sb_skip_full_ = false;
@@ -1197,32 +1059,18 @@ void FlowSim::resolve_and_schedule() {
   SolveStats ss;
   if (full) {
     ++stats_.full_solves;
-    comp_slots_.clear();
   } else {
-    if (cfg_.incremental_writeback) {
-      // Incremental single-bottleneck verdict from the maintained top-2
-      // share summary: a "yes" skips the BFS, the O(live links) scan AND
-      // the write-back — the uniform rate is parked for lazy,
-      // once-per-instant materialisation.
-      const int verdict = try_single_incremental(&ss);
-      if (verdict == 1) {
-        lazy = true;
-        warm = true;
-        comp_slots_.clear();
-        ++stats_.warm_solves;
-        ++stats_.warm_single_hits;
-        warm_meta_ok_ = false;  // no fresh freeze metadata this pass
-        static obs::Counter& warm_hits =
-            obs::metrics().counter("net.solver.warmstart.hit");
-        static obs::ShardedStats& frontier_stat =
-            obs::metrics().stats("net.solver.frontier_size");
-        warm_hits.inc();
-        frontier_stat.add(0.0);
-      } else if (verdict == 0) {
-        sb_skip_full_ = true;
-      }
-    }
-    if (!lazy) {
+    // Incremental single-bottleneck verdict from the maintained top-2 share
+    // summary: a "yes" skips the BFS, the O(live links) scan AND the
+    // write-back — the uniform rate is parked for lazy, once-per-instant
+    // materialisation.
+    const int verdict =
+        cfg_.incremental_writeback ? try_single_incremental(&ss) : -1;
+    lazy = verdict == 1;
+    sb_skip_full_ = verdict == 0;
+    if (lazy) {
+      warm = true;
+    } else {
       // The parked uniform rate (if any) is NOT applied here: the BFS below
       // reads only incidence, and a bailed verdict usually lands back in the
       // closed form, which re-parks. Each eager path that really compares or
@@ -1237,52 +1085,30 @@ void FlowSim::resolve_and_schedule() {
       affected_component(limit);
       stats_.largest_component = std::max<std::uint64_t>(
           stats_.largest_component, comp_slots_.size());
-      if (comp_truncated_ ||
-          static_cast<double>(comp_slots_.size()) > limit) {
-        warm = true;
-        ++stats_.warm_solves;
-      }
+      warm = comp_truncated_ ||
+             static_cast<double>(comp_slots_.size()) > limit;
+    }
+    if (warm) {
+      ++stats_.warm_solves;
+      static obs::Counter& warm_hits =
+          obs::metrics().counter("net.solver.warmstart.hit");
+      warm_hits.inc();
     }
   }
 
-  if (warm && !lazy) {
-    warm_solve(&ss);
-  } else if (full) {
-    materialize_pending();  // the component solves compare and write `f.rate`
-    // Re-solve the whole active set, decomposed into connected components
-    // (flows transitively sharing links) discovered in ascending
-    // first-flow-id order. Per-component solutions equal the global solution
-    // bit-for-bit (the PR 4 component-vs-global property pins this), each
-    // component goes through the persistent CSR path, and stats sum in
-    // component order — same rates and same counts as the old
-    // `max_min_rates_components` route, but a full solve now allocates
-    // nothing once warm either.
-    order_.clear();
-    for (std::size_t s = 0; s < slots_.size(); ++s)
-      if (slots_[s].id != 0) order_.push_back(static_cast<int>(s));
-    std::sort(order_.begin(), order_.end(), [this](int a, int b) {
-      return slots_[static_cast<std::size_t>(a)].id <
-             slots_[static_cast<std::size_t>(b)].id;
-    });
-    ++visit_epoch_;
-    for (int seed : order_) {
-      if (slots_[static_cast<std::size_t>(seed)].visit_epoch == visit_epoch_)
-        continue;
-      component_from(seed);
-      SolveStats cs;
-      solve_component(comp_slots_, &cs);
-      ss.iterations += cs.iterations;
-      ss.bottleneck_links += cs.bottleneck_links;
-    }
-    comp_slots_ = order_;  // solved set, for the drop sweep below
-    warm_meta_ok_ = false;
-  } else if (!comp_slots_.empty()) {
-    ++stats_.component_solves;
+  // `incremental = false` solves the whole active set in one global CSR
+  // solve, flows in ascending id: bitwise the union of the per-component
+  // solves (DESIGN.md §9), so it is the reference the incremental paths are
+  // held to.
+  const std::vector<int>& solved = warm || full ? active_order_ : comp_slots_;
+  if (warm) {
+    if (!lazy) warm_solve(&ss);
+  } else if (!solved.empty()) {
+    if (!full) ++stats_.component_solves;
     materialize_pending();  // solve_component compares and writes `f.rate`
-    solve_component(comp_slots_, &ss);
+    solve_component(solved, &ss);
     warm_meta_ok_ = false;  // some rates changed outside the warm bookkeeping
   }
-  const std::vector<int>& solved = warm ? active_order_ : comp_slots_;
   stats_.flows_solved += solved.size();
   stats_.solver_iterations += static_cast<std::uint64_t>(ss.iterations);
   stats_.bottleneck_links += static_cast<std::uint64_t>(ss.bottleneck_links);

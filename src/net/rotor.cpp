@@ -48,7 +48,7 @@ void RotorSchedule::advance() {
     changed_links_.push_back(l);
   }
   // One batched override == one epoch bump for the whole slot; the epoch
-  // moves BEFORE the simulator is woken, so its warm memo and
+  // moves BEFORE the simulator is woken, so its frozen-prefix metadata and
   // single-bottleneck summary see the staleness immediately.
   fabric_.set_link_capacities(batch_);
   if (fs_) fs_->notify_capacity_change(changed_links_);

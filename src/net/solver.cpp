@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "net/simd.hpp"
-#include "sim/parallel.hpp"
 
 namespace xscale::net {
 
@@ -118,8 +117,9 @@ std::vector<double> solve_core_reference(
     // from an unrelated connected component whose share drifted within the
     // window, freezing its flows at the *other* component's share — which
     // breaks the bit-identity between this global solve and the
-    // per-component decomposition that `max_min_rates_components` and the
-    // incremental FlowSim paths rely on. With exact ties, each component's
+    // per-component solves of `max_min_rates_components` and of FlowSim's
+    // incremental paths, which its `incremental = false` global solve pins
+    // bitwise. With exact ties, each component's
     // firing sequence in the global solve is precisely its local solve's
     // sequence, so decomposition is lossless at the ULP level.
     const double cutoff = min_share;
@@ -569,8 +569,8 @@ std::vector<double> max_min_rates(const std::vector<double>& capacities,
   }
   if (weights && weights->size() != paths.size())
     throw std::invalid_argument("max_min_rates: weights/paths size mismatch");
-  // Adapter: pack into a per-thread CSR arena (component workers and user
-  // threads never share) and run the flat core.
+  // Adapter: pack into a per-thread CSR arena (concurrent callers, such as
+  // the batcher's sessions, never share) and run the flat core.
   static thread_local PathsCsr csr;
   static thread_local SolveScratch scratch;
   csr.clear();
@@ -616,8 +616,8 @@ std::vector<double> max_min_rates_components(
     for (std::size_t i = 1; i < p.size(); ++i) dsu.unite(p[0], p[i]);
   }
 
-  // Dense component ids in first-flow order — deterministic regardless of
-  // thread count; each component's flow list is ascending by construction.
+  // Dense component ids in first-flow order; each component's flow list is
+  // ascending by construction.
   std::vector<int> comp_of_root(capacities.size(), -1);
   std::vector<std::vector<int>> comp_flows;
   for (std::size_t f = 0; f < nf; ++f) {
@@ -630,64 +630,49 @@ std::vector<double> max_min_rates_components(
     comp_flows[static_cast<std::size_t>(c)].push_back(static_cast<int>(f));
   }
 
-  const std::size_t nc = comp_flows.size();
-  if (nc == 1) return max_min_rates(capacities, paths, weights, stats);
+  if (comp_flows.size() == 1)
+    return max_min_rates(capacities, paths, weights, stats);
 
+  // One pack arena serves every component in turn. The link remap is
+  // epoch-stamped, so packing a component costs O(its nnz) with no clearing
+  // pass; links are renumbered in first-encounter order (the order the
+  // global solve visits them, so the per-link arithmetic sequence — and
+  // hence every output bit — matches the unsplit solve).
   std::vector<double> rate(nf, 0.0);
-  std::vector<SolveStats> comp_stats(nc);
-  sim::parallel_for(nc, 1, [&](std::size_t cb, std::size_t ce) {
-    // Per-worker pack buffers. The link remap is epoch-stamped, so packing a
-    // component costs O(its nnz) with no clearing pass; links are renumbered
-    // in first-encounter order (the same order the global solve would visit
-    // them, so the per-link arithmetic sequence — and hence every output bit
-    // — matches the unsplit solve).
-    struct PackScratch {
-      std::vector<int> local_id;
-      std::vector<std::uint64_t> mark;
-      std::uint64_t epoch = 0;
-      std::vector<double> sub_caps;
-      std::vector<double> sub_w;
-      std::vector<double> sub_rates;
-      PathsCsr sub_csr;
-      SolveScratch solve;
-    };
-    static thread_local PackScratch ps;
-    if (ps.mark.size() < capacities.size()) {
-      ps.mark.resize(capacities.size(), 0);
-      ps.local_id.resize(capacities.size(), 0);
-    }
-    for (std::size_t c = cb; c < ce; ++c) {
-      const std::vector<int>& flows = comp_flows[c];
-      ++ps.epoch;
-      ps.sub_caps.clear();
-      ps.sub_w.clear();
-      ps.sub_csr.clear();
-      for (int f : flows) {
-        const auto fu = static_cast<std::size_t>(f);
-        for (int l : paths[fu]) {
-          const auto lu = static_cast<std::size_t>(l);
-          if (ps.mark[lu] != ps.epoch) {
-            ps.mark[lu] = ps.epoch;
-            ps.local_id[lu] = static_cast<int>(ps.sub_caps.size());
-            ps.sub_caps.push_back(capacities[lu]);
-          }
-          ps.sub_csr.push_link(ps.local_id[lu]);
+  std::vector<int> local_id(capacities.size(), 0);
+  std::vector<std::uint64_t> mark(capacities.size(), 0);
+  std::uint64_t epoch = 0;
+  std::vector<double> sub_caps, sub_w, sub_rates;
+  PathsCsr sub_csr;
+  SolveScratch scratch;
+  if (stats) *stats = SolveStats{};
+  for (const std::vector<int>& flows : comp_flows) {
+    ++epoch;
+    sub_caps.clear();
+    sub_w.clear();
+    sub_csr.clear();
+    for (int f : flows) {
+      const auto fu = static_cast<std::size_t>(f);
+      for (int l : paths[fu]) {
+        const auto lu = static_cast<std::size_t>(l);
+        if (mark[lu] != epoch) {
+          mark[lu] = epoch;
+          local_id[lu] = static_cast<int>(sub_caps.size());
+          sub_caps.push_back(capacities[lu]);
         }
-        ps.sub_csr.end_path();
-        if (weights) ps.sub_w.push_back((*weights)[fu]);
+        sub_csr.push_link(local_id[lu]);
       }
-      grow(ps.sub_rates, flows.size());
-      max_min_rates_csr(ps.sub_caps.data(), ps.sub_caps.size(), ps.sub_csr,
-                        weights ? ps.sub_w.data() : nullptr,
-                        ps.sub_rates.data(), &comp_stats[c], ps.solve);
-      for (std::size_t i = 0; i < flows.size(); ++i)
-        rate[static_cast<std::size_t>(flows[i])] = ps.sub_rates[i];
+      sub_csr.end_path();
+      if (weights) sub_w.push_back((*weights)[fu]);
     }
-  });
-
-  if (stats) {
-    *stats = SolveStats{};
-    for (const SolveStats& cs : comp_stats) {
+    grow(sub_rates, flows.size());
+    SolveStats cs;
+    max_min_rates_csr(sub_caps.data(), sub_caps.size(), sub_csr,
+                      weights ? sub_w.data() : nullptr, sub_rates.data(), &cs,
+                      scratch);
+    for (std::size_t i = 0; i < flows.size(); ++i)
+      rate[static_cast<std::size_t>(flows[i])] = sub_rates[i];
+    if (stats) {
       stats->iterations += cs.iterations;
       stats->bottleneck_links += cs.bottleneck_links;
       stats->link_updates += cs.link_updates;

@@ -85,7 +85,7 @@ struct PathsCsr {
 // any previously seen one performs zero heap allocations (the
 // `net.solver.scratch_reuse` counter tracks exactly that). Solver output is
 // independent of prior scratch contents, so one scratch may serve unrelated
-// problems back to back (FlowSim keeps one per simulator; the adapters keep
+// problems back to back (FlowSim keeps one per simulator, `max_min_rates`
 // one per thread). Nothing here is O(num_links) per solve: link ids map to
 // positions through an epoch-stamped table that is never cleared, and every
 // other buffer is indexed by position, path entry or flow.
@@ -158,17 +158,14 @@ std::vector<double> max_min_rates_reference(
 
 // Same allocation, computed by decomposing the flow graph into connected
 // components (flows transitively sharing links) and solving each component
-// independently on the global thread pool (sim::parallel_for). Components
-// never exchange bandwidth, so the union of per-component solutions equals
-// the global solution — the incremental FlowSim re-solve has relied on that
-// bit-for-bit since PR 1. Determinism: component ids are assigned in
-// first-flow order, rates are written to index-disjoint slots, and `stats`
-// are summed in ascending component id — output is byte-identical for any
-// thread count, including 1. `stats->iterations` counts the per-component
-// total, which can exceed the single-solve count (ties across unrelated
-// components no longer collapse into one global iteration). Each worker
-// packs its components into a thread-local CSR arena + scratch, so the
-// steady-state cost is allocation-free here too.
+// on its own, one after another through one pack arena and scratch.
+// Components never exchange bandwidth, so the union of per-component
+// solutions equals the global solution bit for bit (DESIGN.md §9).
+// Component ids are assigned in first-flow order and `stats` are summed in
+// that order. `stats->iterations` counts the per-component total, which can
+// exceed the single-solve count (ties across unrelated components no longer
+// collapse into one global iteration). Kept as the differential
+// counterpart of the global solve (the tests, xbench's replay check).
 std::vector<double> max_min_rates_components(
     const std::vector<double>& capacities,
     const std::vector<std::vector<int>>& paths,

@@ -27,6 +27,7 @@ net::FlowSim::Stats stats_delta(const net::FlowSim::Stats& after,
   d.writeback_skipped = after.writeback_skipped - before.writeback_skipped;
   d.minshare_incr = after.minshare_incr - before.minshare_incr;
   d.minshare_full = after.minshare_full - before.minshare_full;
+  d.horizon_visits = after.horizon_visits - before.horizon_visits;
   return d;
 }
 

@@ -10,9 +10,9 @@
 //
 // Sessions are deliberately *stateful* between scenarios: the overlay is
 // diffed (not rebuilt) against the next scenario's failure set, so a repeated
-// failure set bumps no capacity epoch, and the FlowSim warm-start memo
-// (DESIGN.md §9) replays repeated traffic shapes wholesale. A sweep that
-// perturbs one link per probe pays for one link, not for the machine.
+// failure set bumps no capacity epoch and leaves the FlowSim state keyed on
+// it (DESIGN.md §9) valid. A sweep that perturbs one link per probe pays for
+// one link, not for the machine.
 #pragma once
 
 #include <cstdint>

@@ -315,7 +315,7 @@ ChurnDigest run_churn() {
   net::Fabric fabric(std::move(t), fcfg);
   sim::Engine eng;
   net::FlowSimConfig fscfg;
-  fscfg.incremental = false;  // force the full (component-parallel) path
+  fscfg.incremental = false;  // force the reference path: one global solve
   net::FlowSim fs(eng, fabric, fscfg);
   sim::Rng rng(4321);
   const int eps = fabric.topology().num_endpoints();

@@ -138,7 +138,7 @@ std::vector<serve::Scenario> scenario_stream(const topo::Topology& topo,
   serve::Scenario clean_sc;  // everything restored
   for (int k = 0; k < 3; ++k) clean_sc.flows.push_back(flow(k, 2e6));
 
-  // fail -> fail (identical, memo bait) -> clean -> fail again
+  // fail -> fail (identical: an empty overlay diff) -> clean -> fail again
   return {fail_sc, fail_sc, clean_sc, fail_sc};
 }
 
@@ -534,6 +534,24 @@ TEST(ServeSession, RepeatedScenarioIsDiffAppliedAndEpochStable) {
   ASSERT_EQ(r1.completion_s.size(), r2.completion_s.size());
   for (std::size_t i = 0; i < r1.completion_s.size(); ++i)
     EXPECT_EQ(r1.completion_s[i], r2.completion_s[i]);
+}
+
+// Each scenario's `stats` is its own solver-effort delta, every field of it:
+// completing flows costs completion-index visits, and the deltas of a stream
+// add up to the simulator's running totals.
+TEST(ServeSession, ScenarioStatsDeltasSumToSimulatorTotals) {
+  auto snap = net::make_snapshot(small_topology(), minimal_cfg());
+  serve::ScenarioSession session(snap);
+  std::uint64_t horizon_visits = 0, resolves = 0;
+  for (const serve::Scenario& sc : scenario_stream(snap->topology(), 3)) {
+    const auto r = session.run(sc);
+    ASSERT_FALSE(r.completion_s.empty());
+    EXPECT_GT(r.stats.horizon_visits, 0u) << "flows completed";
+    horizon_visits += r.stats.horizon_visits;
+    resolves += r.stats.resolves;
+  }
+  EXPECT_EQ(horizon_visits, session.flowsim().stats().horizon_visits);
+  EXPECT_EQ(resolves, session.flowsim().stats().resolves);
 }
 
 TEST(ServeSession, RepeatedScenarioIsAllocationFreeAndReusesScratch) {
